@@ -241,22 +241,6 @@ let rows_extensions =
       in
       let atomic = Relax_txn.Atomic_automaton.automaton Fifo.automaton in
       fun () -> ignore (Automaton.accepts atomic sched) );
-    ( "replica/adaptive-run (X-adapt)",
-      fun () ->
-        ignore
-          (Relax_experiments.Adaptive.run_once
-             ~params:
-               {
-                 Relax_experiments.Adaptive.default_params with
-                 requests = 8;
-                 seed = 5;
-               }
-             ()) );
-    ( "replica/partition-run (X-part)",
-      fun () ->
-        ignore
-          (Relax_experiments.Partition.run_point
-             (List.hd (Relax_experiments.Taxi.points ~n:5))) );
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -12,9 +12,6 @@
      rlx figure 4-2       regenerate Figure 4-2
      rlx figure 5-1       regenerate Figure 5-1 with measured costs
      rlx simulate taxi    the taxi-dispatch case study
-     rlx simulate adaptive  Section 2.3's combined automaton, live
-     rlx simulate partition majority/minority network split
-     rlx simulate amnesia   stable storage as a load-bearing assumption
      rlx simulate atm     the bank-account case study
      rlx simulate spooler the print-spooler case study
      rlx simulate ... --seed S   reseed any simulation's fault trace
@@ -40,13 +37,14 @@
      rlx availability     availability of every lattice point
      rlx compare PQ MPQ   Section 5's comparison of specifications
      rlx trait ...        inspect/normalize the standard traits
-     rlx trace simulate taxi --trace-out t.json
-                          record a Perfetto-loadable trace of a run
-     rlx trace chaos top  trace one chaos run at a lattice point
-     rlx profile check --only 'pq/*'
-                          per-claim wall clock + checker stats as JSON
      rlx ... --trace-out FILE
-                          simulate/check/chaos also trace in place
+                          trace a simulate/check/chaos/degrade run:
+                          Chrome trace_event JSON (Perfetto), JSON lines
+                          for .jsonl, the aggregated span table for .txt
+     rlx chaos run --runs 1 --points top --seed S --trace-out t.json
+                          trace one chaos run at a lattice point
+     rlx check all --only 'pq/*' --format json --trace-out t.json
+                          per-claim wall clock + checker stats as JSON
 *)
 
 open Cmdliner
@@ -60,10 +58,12 @@ let apply_jobs jobs = Option.iter Relax_parallel.Pool.set_default_jobs jobs
 (* --- tracing -------------------------------------------------------- *)
 
 (* The export format is picked by extension: .jsonl gives line-diffable
-   JSON lines (the golden-trace format), anything else the Chrome
-   trace_event JSON that Perfetto and chrome://tracing load. *)
+   JSON lines (the golden-trace format), .txt the aggregated span table,
+   anything else the Chrome trace_event JSON that Perfetto and
+   chrome://tracing load. *)
 let trace_format_of_path path =
   if Filename.check_suffix path ".jsonl" then Relax_obs.Export.Jsonl
+  else if Filename.check_suffix path ".txt" then Relax_obs.Export.Table
   else Relax_obs.Export.Chrome
 
 (* The note goes to stderr so stdout stays clean for --format json etc. *)
@@ -84,26 +84,13 @@ let with_trace trace_out f =
     write_trace path tracer;
     code
 
-(* Like [with_trace], but always traced: without --trace-out the
-   aggregated table goes to stdout (the `rlx trace` subcommands). *)
-let run_traced trace_out f =
-  let tracer = Relax_obs.Tracer.create () in
-  let code = Relax_obs.Tracer.Ambient.with_tracer tracer f in
-  (match trace_out with
-  | Some path -> write_trace path tracer
-  | None ->
-    Fmt.pr "%a"
-      (Relax_obs.Export.pp Relax_obs.Export.Table)
-      (Relax_obs.Export.sort (Relax_obs.Tracer.events tracer)));
-  code
-
 (* The check command is entirely registry-driven: group dispatch, the
    unknown-check hint and the listing all derive from the claim catalog,
    so a new group registers itself everywhere at once.  Claims are fanned
    out over domains by the engine and rendered by the selected reporter;
    the human format is byte-identical to the historical output at any
    degree of parallelism. *)
-(* Group/glob selection shared by check, profile check and trace check. *)
+(* Group/glob selection: a claim group (or all), narrowed by --only. *)
 let select_registry what only depth strategy =
   let module R = Relax_claims.Registry in
   let registry = Relax_experiments.Catalog.registry ~depth ~strategy () in
@@ -201,9 +188,10 @@ let run_figure which =
 
 (* Every simulation accepts --seed: the experiments default to their
    historical seeds, so a bare `rlx simulate X` is byte-stable, while
-   --seed reseeds the whole fault trace (amnesia and spooler sweep a
-   window of consecutive seeds starting at the given one). *)
-let run_simulate_on ?timeout ?retries ?backoff ppf which seed =
+   --seed reseeds the whole fault trace (the spooler sweeps a window of
+   consecutive seeds starting at the given one). *)
+let run_simulate which seed timeout retries backoff trace_out =
+  with_trace trace_out @@ fun () ->
   match which with
   | "taxi" ->
     let params =
@@ -212,22 +200,7 @@ let run_simulate_on ?timeout ?retries ?backoff ppf which seed =
         seed
     in
     exit_of
-      (Relax_experiments.Taxi.run ?params ?timeout ?retries ?backoff ppf ())
-  | "partition" ->
-    exit_of
-      (Relax_experiments.Partition.run ?seed ?timeout ?retries ?backoff ppf ())
-  | "adaptive" ->
-    let params =
-      Option.map
-        (fun seed -> { Relax_experiments.Adaptive.default_params with seed })
-        seed
-    in
-    exit_of
-      (Relax_experiments.Adaptive.run ?params ?timeout ?retries ?backoff ppf ())
-  | "amnesia" ->
-    let seeds = Option.map (fun s -> List.init 5 (fun i -> s + i)) seed in
-    exit_of
-      (Relax_experiments.Amnesia.run ?seeds ?timeout ?retries ?backoff ppf ())
+      (Relax_experiments.Taxi.run ?params ?timeout ?retries ?backoff out ())
   | "atm" ->
     let params =
       Option.map
@@ -235,21 +208,17 @@ let run_simulate_on ?timeout ?retries ?backoff ppf which seed =
         seed
     in
     exit_of
-      (Relax_experiments.Atm.run ?params ?timeout ?retries ?backoff ppf ())
+      (Relax_experiments.Atm.run ?params ?timeout ?retries ?backoff out ())
   | "spooler" ->
     if timeout <> None || retries <> None || backoff <> None then
       Fmt.epr
         "note: --timeout/--retries/--backoff do not apply to the spooler \
          (no replica client)@.";
     let seeds = Option.map (fun s -> List.init 3 (fun i -> s + i)) seed in
-    exit_of (Relax_experiments.Spooler.run ?seeds ppf ())
+    exit_of (Relax_experiments.Spooler.run ?seeds out ())
   | other ->
-    Fmt.epr "unknown simulation %S (expected taxi | partition | adaptive | amnesia | atm | spooler)@." other;
+    Fmt.epr "unknown simulation %S (expected taxi | atm | spooler)@." other;
     2
-
-let run_simulate which seed timeout retries backoff trace_out =
-  with_trace trace_out (fun () ->
-      run_simulate_on ?timeout ?retries ?backoff out which seed)
 
 let depth_arg =
   let doc =
@@ -302,8 +271,9 @@ let what_arg ~doc =
 let trace_out_arg =
   let doc =
     "Write a trace of the run to $(docv): Chrome trace_event JSON \
-     (loadable in Perfetto or chrome://tracing), or JSON lines when \
-     $(docv) ends in $(b,.jsonl)."
+     (loadable in Perfetto or chrome://tracing), JSON lines when $(docv) \
+     ends in $(b,.jsonl), or the aggregated span table when it ends in \
+     $(b,.txt)."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -400,8 +370,7 @@ let backoff_arg =
 
 let simulate_cmd =
   let doc =
-    "Run a case-study simulation (taxi | partition | adaptive | amnesia | \
-     atm | spooler)."
+    "Run a case-study simulation (taxi | atm | spooler)."
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
@@ -1229,151 +1198,6 @@ let compare_cmd =
     Term.(const run_compare $ a_arg $ b_arg $ depth_arg)
 
 (* ------------------------------------------------------------------ *)
-(* rlx trace / rlx profile                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The trace subcommands run an experiment purely for its trace: the
-   experiment's own report is discarded, and stdout carries either
-   nothing (--trace-out) or the aggregated span table. *)
-let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
-let run_trace_simulate which seed trace_out =
-  run_traced trace_out (fun () -> run_simulate_on null_ppf which seed)
-
-let run_trace_chaos point seed nemeses trace_out =
-  let module X = Relax_experiments.Chaos_scenarios in
-  let nemeses = if nemeses = [] then X.default_nemeses else nemeses in
-  let config = { Relax_chaos.Runner.default_config with seed } in
-  run_traced trace_out (fun () ->
-      match X.make_trace ~point ~nemeses ~config with
-      | Error e ->
-        Fmt.epr "%s@." e;
-        2
-      | Ok trace -> (
-        match X.run_trace trace with
-        | Error e ->
-          Fmt.epr "%s@." e;
-          2
-        | Ok (result, verdict) ->
-          Fmt.epr "point %s, seed %d: %d completed, %d unavailable — %a@."
-            point seed result.Relax_chaos.Runner.completed
-            result.Relax_chaos.Runner.unavailable Relax_chaos.Oracle.pp
-            verdict;
-          exit_of (Relax_chaos.Oracle.conforms verdict)))
-
-(* Claims fan out over domains, so both trace check and profile check
-   synthesize the trace from measured outcomes (Engine.record_trace)
-   instead of recording ambiently: durations are wall clock, stats are
-   the deterministic memo/product counters. *)
-let run_claims_trace what only depth strategy jobs trace_out ~json =
-  apply_jobs jobs;
-  match select_registry what only depth strategy with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
-  | Ok selected ->
-    let results = Relax_claims.Engine.run selected in
-    let tracer = Relax_obs.Tracer.create () in
-    Relax_claims.Engine.record_trace tracer results;
-    (match trace_out with
-    | Some path -> write_trace path tracer
-    | None when not json ->
-      Fmt.pr "%a"
-        (Relax_obs.Export.pp Relax_obs.Export.Table)
-        (Relax_obs.Export.sort (Relax_obs.Tracer.events tracer))
-    | None -> ());
-    if json then
-      Relax_claims.Reporter.pp Relax_claims.Reporter.Json out results;
-    exit_of (Relax_claims.Engine.ok results)
-
-let run_trace_check what only depth strategy jobs trace_out =
-  run_claims_trace what only depth strategy jobs trace_out ~json:false
-
-let run_profile_check what only depth strategy jobs trace_out =
-  run_claims_trace what only depth strategy jobs trace_out ~json:true
-
-let check_what_arg =
-  let doc = "Claim group to run, $(b,all) by default." in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"WHAT" ~doc)
-
-let only_arg =
-  let doc =
-    "Only run claims whose id matches $(docv) ($(b,*) matches any \
-     substring), e.g. $(b,--only 'pq/*')."
-  in
-  Arg.(value & opt (some string) None & info [ "only" ] ~docv:"GLOB" ~doc)
-
-let trace_cmd =
-  let sim_cmd =
-    let doc =
-      "Trace a case-study simulation (taxi | partition | adaptive | \
-       amnesia | atm | spooler): spans and instants from the engine, \
-       network, replica and claims, timestamped in virtual time — \
-       byte-identical for a given seed."
-    in
-    Cmd.v (Cmd.info "simulate" ~doc)
-      Term.(const run_trace_simulate $ what_arg ~doc $ seed_arg $ trace_out_arg)
-  in
-  let chaos_cmd =
-    let point_arg =
-      let doc = "Lattice point (top | q1 | q2 | bottom | adaptive)." in
-      Arg.(required & pos 0 (some string) None & info [] ~docv:"POINT" ~doc)
-    in
-    let seed_arg =
-      let doc = "Seed of the traced run." in
-      Arg.(
-        value
-        & opt int Relax_sim.Engine.default_seed
-        & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-    in
-    let nemesis_arg =
-      let doc = "Comma-separated nemesis mix (default: every \
-                 assumption-preserving nemesis)." in
-      Arg.(value & opt module_sep_list [] & info [ "nemesis" ] ~docv:"LIST" ~doc)
-    in
-    let doc =
-      "Trace one chaos run at a lattice point: fault applications, mode \
-       switches and the oracle verdict, with the active constraint set \
-       as span attributes."
-    in
-    Cmd.v (Cmd.info "chaos" ~doc)
-      Term.(
-        const run_trace_chaos $ point_arg $ seed_arg $ nemesis_arg
-        $ trace_out_arg)
-  in
-  let check_cmd =
-    let doc =
-      "Trace a claim run: one complete event per claim with its wall \
-       clock and memo/product statistics."
-    in
-    Cmd.v (Cmd.info "check" ~doc)
-      Term.(
-        const run_trace_check $ check_what_arg $ only_arg $ depth_arg
-        $ method_arg $ jobs_arg $ trace_out_arg)
-  in
-  let doc =
-    "Trace an experiment: run it with the observability layer recording \
-     spans, instants and counters, then export them (Chrome trace_event, \
-     JSON lines, or an aggregated table)."
-  in
-  Cmd.group (Cmd.info "trace" ~doc) [ sim_cmd; chaos_cmd; check_cmd ]
-
-let profile_cmd =
-  let check_cmd =
-    let doc =
-      "Profile a claim run: print the JSON report (per-claim status, \
-       wall clock and checker statistics) and optionally write a \
-       per-claim trace artifact."
-    in
-    Cmd.v (Cmd.info "check" ~doc)
-      Term.(
-        const run_profile_check $ check_what_arg $ only_arg $ depth_arg
-        $ method_arg $ jobs_arg $ trace_out_arg)
-  in
-  let doc = "Profile a workload (currently: check)." in
-  Cmd.group (Cmd.info "profile" ~doc) [ check_cmd ]
-
-(* ------------------------------------------------------------------ *)
 (* rlx load                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1761,7 +1585,7 @@ let main =
     [
       check_cmd; figure_cmd; simulate_cmd; chaos_cmd; debug_cmd; ldfi_cmd;
       degrade_cmd; availability_cmd; lattice_cmd; load_cmd; relax_cmd;
-      trait_cmd; compare_cmd; behaviors_cmd; trace_cmd; profile_cmd;
+      trait_cmd; compare_cmd; behaviors_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -95,7 +95,7 @@ type result = {
   gossip_rounds : int;
   online_violation : Degrade.Online.violation option;
   recoveries : int;  (** journal recoveries performed (durable runs) *)
-  metrics : Relax_sim.Metrics.t;
+  metrics : Relax_obs.Metrics.t;
   digest : string;
 }
 
@@ -111,7 +111,7 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
     Relax_sim.Network.create ~mean_latency:config.mean_latency engine
       ~sites:config.sites
   in
-  let metrics = Relax_sim.Metrics.create () in
+  let metrics = Relax_obs.Metrics.create () in
   let assignment =
     match client with Fixed a -> a | Controlled { preferred; _ } -> preferred
   in

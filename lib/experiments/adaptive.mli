@@ -1,19 +1,17 @@
 open Relax_core
 
-(** Experiment X-adapt of EXPERIMENTS.md: the combined environment+object
-    automaton of Section 2.3, realized end to end on the live degradation
-    controller (lib/degrade).  The controller degrades to "any available
-    site" when the monitored quorum constraints fail and restores the
-    preferred mode only after its gate sees anti-entropy reconvergence;
-    the event+operation history must be accepted by the combined
-    automaton over the two-point sublattice (PQ / tracking-DegenPQ on a
-    shared present/absent state space), and the online oracle's
-    incremental verdict must agree with the post-hoc replay. *)
+(** The combined environment+object automaton of Section 2.3 over the
+    two-point sublattice (PQ / tracking-DegenPQ on a shared
+    present/absent state space), and the quorum assignments an adaptive
+    client moves between.  The chaos lattice's [adaptive] point
+    ({!Chaos_scenarios}) drives the live degradation controller
+    (lib/degrade) over these and judges its event+operation histories
+    with {!combined}. *)
 
 val degrade_event : Op.t
 val restore_event : Op.t
 
-(** The combined automaton the run is replayed through. *)
+(** The combined automaton adaptive histories are judged by. *)
 val combined : (Cset.t * Relax_objects.Mpq.state) Automaton.t
 
 (** Majority quorums for both operations — the top of the two-point
@@ -22,44 +20,3 @@ val preferred_assignment : n:int -> Relax_quorum.Assignment.t
 
 (** "Any available site" thresholds — the bottom. *)
 val relaxed_assignment : n:int -> Relax_quorum.Assignment.t
-
-type outcome = {
-  operations : int;
-  degraded_ops : int;
-  mode_switches : int;
-  accepted_by_combined : bool;
-  online_agrees : bool;
-  transitions : Relax_degrade.Controller.transition list;
-  first_rejection : History.t option;
-}
-
-val pp_outcome : outcome Fmt.t
-
-type params = {
-  sites : int;
-  requests : int;
-  crash_probability : float;
-  recover_probability : float;
-  seed : int;
-}
-
-val default_params : params
-
-(** The client knobs default to the experiment's historical values
-    ([timeout] 80.0, the replica's retry/backoff defaults). *)
-val run_once :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  unit ->
-  outcome
-
-val run :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  Format.formatter ->
-  unit ->
-  bool

@@ -1,11 +1,10 @@
 (* Named counters, raw series and fixed-bucket histograms.
 
-   Counters and series reproduce the old Relax_sim.Metrics semantics
-   and rendering exactly (that module is now a shim over this one);
-   quantile is true nearest-rank, with the boundary cases (q = 0,
-   q = 1, single observation, NaN) pinned down by tests.  Histograms
-   are bounded-memory: bucket bounds are fixed at creation, so two
-   histograms recorded on different domains merge without loss. *)
+   Counters and series are lossless; quantile is true nearest-rank,
+   with the boundary cases (q = 0, q = 1, single observation, NaN)
+   pinned down by tests.  Histograms are bounded-memory: bucket bounds
+   are fixed at creation, so two histograms recorded on different
+   domains merge without loss. *)
 
 type series = { mutable values : float list; mutable n : int }
 

@@ -1,11 +1,10 @@
 (** Typed counters, raw float series, and fixed-bucket histograms in a
     named registry.
 
-    This subsumes the old [Relax_sim.Metrics] (which survives as a thin
-    shim over this module): counters and series keep its exact API and
-    rendering, histograms add bounded-memory aggregation whose buckets
-    are fixed at creation so registries recorded on different domains
-    merge exactly. *)
+    Counters and series are lossless, for experiment-scale data;
+    histograms add bounded-memory aggregation whose buckets are fixed at
+    creation so registries recorded on different domains merge
+    exactly. *)
 
 type t
 

@@ -13,8 +13,10 @@
    an inner loop issuing thousands of small [map]s (the sharded engine's
    round loop) cannot afford per call.  A [map] publishes a batch under
    the mutex, bumps a generation counter to wake the workers, and the
-   caller participates as worker 0, so [map ~jobs:n] uses [n-1] pool
-   domains.  The pool grows on demand when a call asks for more
+   caller participates as worker 0.  The batch carries [n-1] worker
+   slots: a woken worker drains only if it claims one, so [map ~jobs:n]
+   uses at most [n-1] pool domains even after an earlier, wider call has
+   grown the pool.  The pool grows on demand when a call asks for more
    parallelism than any before it, and is torn down from [at_exit].
 
    Nested calls run sequentially: a worker domain that itself calls [map]
@@ -49,6 +51,7 @@ type batch = {
   tasks : (unit -> unit) array;
   next : int Atomic.t; (* next task index to claim *)
   left : int Atomic.t; (* tasks not yet finished *)
+  slots : int Atomic.t; (* pool workers still allowed to join: jobs-1 *)
   done_ : Mutex.t;
   all_done : Condition.t;
 }
@@ -97,9 +100,10 @@ let drain (b : batch) =
   !ran
 
 (* A parked worker: wait for the generation to move, drain the published
-   batch, park again.  Workers run with the ambient tracer suppressed —
-   a task executing on a worker would otherwise emit a
-   schedule-dependent subset of events into some caller's trace. *)
+   batch if it claims one of the batch's worker slots, park again.
+   Workers run with the ambient tracer suppressed — a task executing on
+   a worker would otherwise emit a schedule-dependent subset of events
+   into some caller's trace. *)
 let worker_main () =
   Relax_obs.Tracer.Ambient.without (fun () ->
       let seen = ref 0 in
@@ -119,7 +123,7 @@ let worker_main () =
         match job with
         | None -> if not pool.shutdown then park ()
         | Some b ->
-          ignore (drain b);
+          if Atomic.fetch_and_add b.slots (-1) > 0 then ignore (drain b);
           park ()
       in
       park ())
@@ -173,6 +177,7 @@ let map ?jobs f l =
         tasks;
         next = Atomic.make 0;
         left = Atomic.make n;
+        slots = Atomic.make (jobs - 1);
         done_ = Mutex.create ();
         all_done = Condition.create ();
       }

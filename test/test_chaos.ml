@@ -12,8 +12,9 @@ module Scenarios = Relax_experiments.Chaos_scenarios
    fault vocabulary and its shadow, nemesis schedule generation, trace
    record/replay determinism, the conformance oracle, the delta-
    debugging shrinker (on a genuinely planted violation — amnesia at
-   the preferred point — and on an injected-oracle-bug fixture), and
-   lattice conformance across seeds as a property. *)
+   the preferred point — and on an injected-oracle-bug fixture),
+   lattice conformance across seeds as a property, and a hand-built
+   majority/minority partition at the top and bottom points. *)
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -270,7 +271,7 @@ let trace_tests =
         Alcotest.(check int)
           "attempts counter"
           result.Runner.attempts
-          (Relax_sim.Metrics.count result.Runner.metrics "replica/attempts");
+          (Relax_obs.Metrics.count result.Runner.metrics "replica/attempts");
         Alcotest.(check bool)
           "attempts cover completions" true
           (result.Runner.attempts
@@ -471,6 +472,30 @@ let shrink_tests =
 (* Conformance as a property, and jobs-independence                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A hand-built majority/minority split {0,1,2} | {3,4}, healed before
+   the workload ends, run through the chaos runner with the fixed client
+   of a lattice point and judged by that point's predicted language. *)
+let run_split point =
+  let sc =
+    match Scenarios.find point with Ok sc -> sc | Error e -> Alcotest.fail e
+  in
+  let config = Runner.default_config in
+  let horizon = Runner.horizon config in
+  let events =
+    [
+      {
+        Fault.at = 0.2 *. horizon;
+        action = Fault.Partition [ [ 0; 1; 2 ]; [ 3; 4 ] ];
+      };
+      { Fault.at = 0.6 *. horizon; action = Fault.Heal };
+    ]
+  in
+  let result =
+    Runner.run ~config ~client:(sc.Scenarios.client ~sites:config.Runner.sites)
+      ~respond:Relax_replica.Choosers.pq_eta events
+  in
+  (result, Oracle.check ~accepts:sc.Scenarios.accepts result.Runner.history)
+
 let conformance_tests =
   [
     qtest
@@ -549,6 +574,23 @@ let conformance_tests =
             | _, Oracle.Violation _ ->
               Alcotest.fail (Fmt.str "lost point violated at seed %d" seed))
           [ 1; 2; 3; 4; 5 ]);
+    Alcotest.test_case
+      "partition: top refuses the minority side, bottom serves both" `Quick
+      (fun () ->
+        let top, top_verdict = run_split "top" in
+        Alcotest.(check bool)
+          "top refuses some ops during the split" true
+          (top.Runner.unavailable > 0);
+        Alcotest.(check int)
+          "top serves no request twice" 0
+          (Relax_experiments.Taxi.count_duplicates top.Runner.history);
+        Alcotest.(check bool)
+          "top conforms" true (Oracle.conforms top_verdict);
+        let bottom, bottom_verdict = run_split "bottom" in
+        Alcotest.(check int)
+          "bottom refuses nothing" 0 bottom.Runner.unavailable;
+        Alcotest.(check bool)
+          "bottom conforms" true (Oracle.conforms bottom_verdict));
   ]
 
 let () =

@@ -23,26 +23,6 @@ let experiment_tests =
         Fifo_checks.run ~alphabet ~depth:4 null ());
     check "Markov environment composes with the functional model" (fun () ->
         Markov_env.run ~requests:120 null ());
-    check "partition: preferred blocks minority, relaxed diverges" (fun () ->
-        Partition.run null ());
-    check "stable storage is load-bearing (amnesia breaks the guarantee)"
-      (fun () -> Amnesia.run ~seeds:[ 41; 42; 43 ] null ());
-    Alcotest.test_case "adaptive runs are accepted by the combined automaton"
-      `Slow (fun () ->
-        (* several seeds: every adaptive run, whatever its mode switches,
-           must be accepted by the Section 2.3 combined automaton *)
-        List.iter
-          (fun seed ->
-            let o =
-              Adaptive.run_once
-                ~params:{ Adaptive.default_params with seed; requests = 20 }
-                ()
-            in
-            if not o.Adaptive.accepted_by_combined then
-              Alcotest.failf "seed %d rejected: %a" seed
-                Fmt.(option Relax_core.History.pp)
-                o.Adaptive.first_rejection)
-          [ 31; 32; 33; 34; 35 ]);
     (* depth 4 is the least depth distinguishing Semiqueue_2 from
        Semiqueue_3 (three enqueues plus a dequeue of the third item) *)
     check "Figure 4-2 table" (fun () -> Fig42.run ~alphabet ~depth:4 null ());

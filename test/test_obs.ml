@@ -1,9 +1,10 @@
 open Relax_obs
 
 (* The observability layer: span nesting and the monotonized timeline,
-   histogram bucket boundaries, registry merge across real domains,
-   exporter well-formedness (JSON lines parse; Chrome trace_event
-   timestamps are monotone per thread), and the golden-trace determinism
+   counters and series (nearest-rank quantiles), histogram bucket
+   boundaries, registry merge across real domains, exporter
+   well-formedness (JSON lines parse; Chrome trace_event timestamps are
+   monotone per thread), and the golden-trace determinism
    of instrumented runs — same seed, any job count, byte-identical
    sorted exports. *)
 
@@ -272,6 +273,73 @@ let tracer_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Metrics                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let metrics_tests =
+  [
+    Alcotest.test_case "counters accumulate" `Quick (fun () ->
+        let m = Metrics.create () in
+        Metrics.incr m "x";
+        Metrics.incr ~by:4 m "x";
+        Alcotest.(check int) "count" 5 (Metrics.count m "x");
+        Alcotest.(check int) "fresh counter" 0 (Metrics.count m "y"));
+    Alcotest.test_case "series statistics" `Quick (fun () ->
+        let m = Metrics.create () in
+        List.iter (Metrics.observe m "lat") [ 1.0; 2.0; 3.0; 4.0 ];
+        Alcotest.(check (option (float 0.001))) "mean" (Some 2.5) (Metrics.mean m "lat");
+        (* nearest-rank: rank ceil(0.5 * 4) = 2, so the 2nd smallest *)
+        Alcotest.(check (option (float 0.001)))
+          "median" (Some 2.0)
+          (Metrics.quantile m "lat" 0.5);
+        Alcotest.(check (list (float 0.001)))
+          "insertion order" [ 1.0; 2.0; 3.0; 4.0 ]
+          (Metrics.observations m "lat"));
+    Alcotest.test_case "empty series" `Quick (fun () ->
+        let m = Metrics.create () in
+        Alcotest.(check (option (float 0.001))) "mean" None (Metrics.mean m "none"));
+    (* Nearest-rank edge cases pinned down after the quantile rewrite:
+       the old rounding formula disagreed at interior ranks and let NaN
+       slip through its range guard. *)
+    Alcotest.test_case "quantile edge cases" `Quick (fun () ->
+        let m = Metrics.create () in
+        Alcotest.(check (option (float 0.001)))
+          "empty" None
+          (Metrics.quantile m "lat" 0.5);
+        List.iter (Metrics.observe m "lat") [ 4.0; 1.0; 3.0; 2.0 ];
+        Alcotest.(check (option (float 0.001)))
+          "q=0 is the minimum" (Some 1.0)
+          (Metrics.quantile m "lat" 0.0);
+        Alcotest.(check (option (float 0.001)))
+          "q=1 is the maximum" (Some 4.0)
+          (Metrics.quantile m "lat" 1.0);
+        Alcotest.(check (option (float 0.001)))
+          "q=0.75 is the 3rd of 4" (Some 3.0)
+          (Metrics.quantile m "lat" 0.75);
+        Metrics.observe m "one" 7.0;
+        List.iter
+          (fun q ->
+            Alcotest.(check (option (float 0.001)))
+              (Fmt.str "single observation at q=%.2f" q)
+              (Some 7.0)
+              (Metrics.quantile m "one" q))
+          [ 0.0; 0.5; 1.0 ]);
+    Alcotest.test_case "quantile rejects out-of-range and NaN" `Quick
+      (fun () ->
+        let m = Metrics.create () in
+        Metrics.observe m "lat" 1.0;
+        let rejects q =
+          Alcotest.check_raises
+            (Fmt.str "q=%f" q)
+            (Invalid_argument "Metrics.quantile")
+            (fun () -> ignore (Metrics.quantile m "lat" q))
+        in
+        rejects (-0.1);
+        rejects 1.5;
+        rejects Float.nan);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -521,6 +589,7 @@ let () =
   Alcotest.run "obs"
     [
       ("tracer", tracer_tests);
+      ("metrics", metrics_tests);
       ("histogram", histogram_tests);
       ("merge", merge_tests);
       ("export", export_tests);

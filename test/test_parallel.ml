@@ -1,8 +1,8 @@
 open Relax_parallel
 
 (* Direct coverage for the domain pool: ordering, caller participation,
-   exception propagation, pool reuse across generations, nested maps,
-   and the jobs-resolution knobs.  The pool is process-global, so these
+   exception propagation, pool reuse across generations, the per-call
+   jobs cap, nested maps, and the jobs-resolution knobs.  The pool is process-global, so these
    tests mind the order in which they touch the default-jobs override. *)
 
 exception Boom of int
@@ -89,6 +89,24 @@ let pool_tests =
         Alcotest.(check (list int))
           "wider than before" (List.init 20 Fun.id)
           (Pool.map ~jobs:6 Fun.id (List.init 20 Fun.id)));
+    Alcotest.test_case "jobs caps parallelism after the pool has grown"
+      `Quick (fun () ->
+        (* After a wider call the pool holds at least three workers; a
+           narrower call must still run on at most two domains (the
+           caller and one worker).  The tasks sleep so that every woken
+           worker would have time to join if the cap were not enforced. *)
+        ignore (Pool.map ~jobs:4 Fun.id (List.init 8 Fun.id));
+        let ids =
+          Pool.map ~jobs:2
+            (fun _ ->
+              Unix.sleepf 0.005;
+              (Domain.self () :> int))
+            (List.init 16 Fun.id)
+        in
+        let distinct = List.length (List.sort_uniq compare ids) in
+        Alcotest.(check bool)
+          (Fmt.str "%d distinct domains <= 2" distinct)
+          true (distinct <= 2));
     Alcotest.test_case "nested map degrades to sequential" `Quick (fun () ->
         let got =
           Pool.map ~jobs:3
