@@ -201,9 +201,83 @@ let automaton ?name spec rel : History.t Automaton.t =
    instead of replaying every accepted history.
 
    The invocation universe must cover every operation the automaton will
-   ever be stepped with; stepping outside it raises. *)
+   ever be stepped with; stepping outside it raises.
 
-type 'v views_state = 'v list list array
+   Representation.  Everything the step touches is hash-consed.  Each
+   distinct evaluation (a ['v list], compared as a set under
+   [spec.equal]) gets a dense id; an entry W(H, S) is the sorted list of
+   its evaluations' ids, so the union above is a merge; and each
+   distinct map — the array of entries — is interned in turn, so a state
+   is just the id of its map and [equal]/[hash] are integer operations.
+   [extend] and the acceptance test run once per (evaluation, operation)
+   and the step once per (state, operation): every pass over one
+   automaton value — both directions of an equivalence, the [size]
+   detail, the lattice checks through [Relaxation]'s phi cache,
+   simulation synthesis and certification — reads one transition table.
+
+   As for {!automaton}, these tables are private to the returned value:
+   it must be built inside the task that uses it and never shared across
+   domains, and its states mean nothing to any other automaton value. *)
+
+type 'v views_state = int
+
+(* A memo from dense ids to ints, growing on write; [unknown] marks a
+   slot never written. *)
+module Memo = struct
+  type t = { mutable slots : int array }
+
+  let unknown = min_int
+  let create () = { slots = [||] }
+  let get t i = if i < Array.length t.slots then t.slots.(i) else unknown
+
+  let set t i v =
+    let n = Array.length t.slots in
+    if i >= n then begin
+      let slots = Array.make (max (i + 1) (2 * n)) unknown in
+      Array.blit t.slots 0 slots 0 n;
+      t.slots <- slots
+    end;
+    t.slots.(i) <- v
+end
+
+(* Maps of sorted evaluation-id lists, interned structurally. *)
+module Entries = Hashtbl.Make (struct
+  type t = int list array
+
+  let equal a b = Array.for_all2 (List.equal Int.equal) a b
+
+  let hash a =
+    Array.fold_left
+      (fun h l -> List.fold_left (fun h x -> (h * 31) + x) ((h * 131) + 1) l)
+      7 a
+    land max_int
+end)
+
+module Ops = Hashtbl.Make (struct
+  type t = Op.t
+
+  let equal = Op.equal
+  let hash = Op.hash
+end)
+
+(* What one operation needs, and its per-id memos. *)
+type op_info = {
+  op : Op.t;
+  bit : int;  (* the singleton mask of its invocation class *)
+  rel_mask : int;  (* the classes whose invocations relate to it *)
+  ext : Memo.t;  (* evaluation id -> id of its extension by [op] *)
+  acc : Memo.t;  (* evaluation id -> 1 iff it admits [op], else 0 *)
+  succ : Memo.t;  (* state id -> successor id, -1 when undefined *)
+}
+
+(* [union a b] of sorted, duplicate-free int lists. *)
+let rec union a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    if x = y then x :: union a' b'
+    else if x < y then x :: union a' b
+    else y :: union a b'
 
 let automaton_views ?name ~(alphabet : Op.t list) spec rel :
     'v views_state Automaton.t =
@@ -235,78 +309,135 @@ let automaton_views ?name ~(alphabet : Op.t list) spec rel :
     in
     go 0
   in
-  (* evaluations are compared as sets: delta* may list states of a view
-     in any order *)
+  (* Evaluations, interned.  They are compared as sets — delta* may list
+     states of a view in any order — so each is deduplicated before its
+     order-independent bucket hash is taken; the bucket is then searched
+     with [spec.equal], so a bad hash costs time, never correctness. *)
+  let evals : (int, 'v list) Hashtbl.t = Hashtbl.create 256 in
+  let eval_buckets : (int, int list) Hashtbl.t = Hashtbl.create 256 in
+  let dedup vs =
+    List.rev
+      (List.fold_left
+         (fun acc v -> if List.exists (spec.equal v) acc then acc else v :: acc)
+         [] vs)
+  in
+  let bucket_hash =
+    match spec.hash with
+    | None -> fun _ -> 0
+    | Some hv -> List.fold_left (fun h v -> h + hv v) 0
+  in
   let vlist_equal va vb =
     List.for_all (fun a -> List.exists (spec.equal a) vb) va
     && List.for_all (fun b -> List.exists (spec.equal b) va) vb
   in
-  let add_vlist v w = if List.exists (vlist_equal v) w then w else v :: w in
-  let entry_equal ea eb =
-    List.for_all (fun v -> List.exists (vlist_equal v) eb) ea
-    && List.for_all (fun v -> List.exists (vlist_equal v) ea) eb
+  let eval_id vs =
+    let vs = dedup vs in
+    let h = bucket_hash vs in
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt eval_buckets h) in
+    match
+      List.find_opt (fun e -> vlist_equal (Hashtbl.find evals e) vs) bucket
+    with
+    | Some e -> e
+    | None ->
+      let e = Hashtbl.length evals in
+      Hashtbl.add evals e vs;
+      Hashtbl.replace eval_buckets h (e :: bucket);
+      e
   in
-  let state_equal (wa : 'v views_state) (wb : 'v views_state) =
-    let rec go s = s >= size || (entry_equal wa.(s) wb.(s) && go (s + 1)) in
-    go 0
+  (* States, interned: id -> map, and map -> id. *)
+  let states : (int, int list array) Hashtbl.t = Hashtbl.create 256 in
+  let state_ids = Entries.create 256 in
+  let state_id w =
+    match Entries.find_opt state_ids w with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.length states in
+      Hashtbl.add states s w;
+      Entries.add state_ids w s;
+      s
   in
-  let hash =
-    match spec.hash with
-    | None -> None
-    | Some hv ->
-      (* order-independent within entries, positional across them *)
-      Some
-        (fun (w : 'v views_state) ->
-          let h = ref 7 in
-          for s = 0 to size - 1 do
-            let eh =
-              List.fold_left
-                (fun acc v -> acc + List.fold_left (fun a x -> a + hv x) 17 v)
-                0 w.(s)
-            in
-            h := (!h * 131) + eh
-          done;
-          !h)
+  let op_infos = Ops.create 16 in
+  let info_of p =
+    match Ops.find_opt op_infos p with
+    | Some o -> o
+    | None ->
+      let rel_mask = ref 0 in
+      Array.iteri
+        (fun j i ->
+          if Relation.related rel i p then
+            rel_mask := !rel_mask lor (1 lsl j))
+        invs;
+      let o =
+        {
+          op = p;
+          bit = 1 lsl inv_index (Op.invocation p);
+          rel_mask = !rel_mask;
+          ext = Memo.create ();
+          acc = Memo.create ();
+          succ = Memo.create ();
+        }
+      in
+      Ops.add op_infos p o;
+      o
+  in
+  (* the alphabet's own operation values are found by physical equality,
+     any other value structurally *)
+  let known = List.map (fun p -> (p, info_of p)) alphabet in
+  let op_info p =
+    match List.assq_opt p known with Some o -> o | None -> info_of p
+  in
+  (* Fills both per-evaluation memos of [o] at [e]. *)
+  let evaluate o e =
+    let before = Hashtbl.find evals e in
+    let after = extend before o.op in
+    let i = Op.invocation o.op in
+    Memo.set o.ext e (eval_id after);
+    Memo.set o.acc e
+      (if
+         List.exists
+           (fun s ->
+             spec.pre s i && List.exists (fun s' -> spec.post s o.op s') after)
+           before
+       then 1
+       else 0)
+  in
+  let memo o m e =
+    if Memo.get m e = Memo.unknown then evaluate o e;
+    Memo.get m e
+  in
+  let successor o s =
+    let w = Hashtbl.find states s in
+    if not (List.exists (fun e -> memo o o.acc e = 1) w.(o.bit)) then -1
+    else
+      state_id
+        (Array.init size (fun mask ->
+             let extended =
+               List.sort_uniq Int.compare
+                 (List.map (memo o o.ext) w.(mask lor o.bit))
+             in
+             if mask land o.rel_mask <> 0 then extended
+             else union w.(mask) extended))
+  in
+  let step s p =
+    let o = op_info p in
+    let s' =
+      match Memo.get o.succ s with
+      | s' when s' <> Memo.unknown -> s'
+      | _ ->
+        let s' = successor o s in
+        Memo.set o.succ s s';
+        s'
+    in
+    if s' < 0 then [] else [ s' ]
   in
   let name =
     match name with
     | Some n -> n
     | None -> Fmt.str "QCA(%s,%s)" spec.spec_name (Relation.name rel)
   in
-  let init = Array.make size [ spec.eval History.empty ] in
-  let step (w : 'v views_state) p =
-    let i = Op.invocation p in
-    let pi = inv_index i in
-    let accepted =
-      List.exists
-        (fun before ->
-          let after = extend before p in
-          List.exists
-            (fun s ->
-              spec.pre s i && List.exists (fun s' -> spec.post s p s') after)
-            before)
-        w.(1 lsl pi)
-    in
-    if not accepted then []
-    else
-      [
-        Array.init size (fun mask ->
-            let extended =
-              List.fold_left
-                (fun acc v -> add_vlist (extend v p) acc)
-                []
-                w.(mask lor (1 lsl pi))
-            in
-            let s_relates =
-              let rec any j =
-                j < k
-                && (((mask lsr j) land 1 = 1 && Relation.related rel invs.(j) p)
-                   || any (j + 1))
-              in
-              any 0
-            in
-            if s_relates then extended
-            else List.fold_left (fun acc v -> add_vlist v acc) w.(mask) extended);
-      ]
-  in
-  Automaton.make ~name ~init ~equal:state_equal ?hash step
+  let init = state_id (Array.make size [ eval_id (spec.eval History.empty) ]) in
+  (* ids are canonical, so the identity is a perfect hash — carried only
+     when the spec is hashed, since [Language] picks its algorithm from
+     that field *)
+  let hash = Option.map (fun _ (s : int) -> s) spec.hash in
+  Automaton.make ~name ~init ~equal:Int.equal ?hash step

@@ -52,8 +52,10 @@ val automaton : ?name:string -> 'v spec -> Relation.t -> History.t Automaton.t
 (** The state of {!automaton_views}: for each subset [S] of the
     alphabet's invocation classes, the distinct evaluations of the
     Q-closed subhistories containing every position the invocations of
-    [S] are required to observe. *)
-type 'v views_state = 'v list list array
+    [S] are required to observe.  Abstract: a state is an interned handle
+    that only the automaton value which produced it can step, compare or
+    hash. *)
+type 'v views_state
 
 (** The views-abstracted quorum consensus automaton — same bounded
     language as {!automaton}, but the state forgets the history and keeps
@@ -62,7 +64,15 @@ type 'v views_state = 'v list list array
     {!Language} explores a quotient automaton.  Requires a spec with an
     incremental evaluation ([spec_with_eta] or [spec_of_automaton]);
     raises [Invalid_argument] otherwise, or when stepped with an
-    operation whose invocation is outside [alphabet]. *)
+    operation whose invocation is outside [alphabet].
+
+    Evaluations and states are hash-consed and the step is memoized per
+    (state, operation) inside the returned value, so every pass over one
+    value shares a single transition table and state equality and
+    hashing are O(1).  The state hash is present exactly when the spec
+    carries one.  These caches are private mutable state: like
+    {!automaton}, build the value inside the task that uses it and never
+    share it across domains. *)
 val automaton_views :
   ?name:string ->
   alphabet:Op.t list ->

@@ -49,10 +49,17 @@ let check_agreement name alphabet a b ~depth =
     (ctx "classification") expected
     (classification_tag (Language.classify a b ~alphabet ~depth))
 
-let pair ?(alphabet = queue_alphabet) name a b =
+(* [~equal:true] additionally requires the two languages to coincide. *)
+let pair ?(alphabet = queue_alphabet) ?(max_depth = 5) ?(equal = false) name a
+    b =
   Alcotest.test_case name `Quick (fun () ->
-      for depth = 1 to 5 do
-        check_agreement name alphabet a b ~depth
+      for depth = 1 to max_depth do
+        check_agreement name alphabet a b ~depth;
+        if equal then
+          Alcotest.(check bool)
+            (Fmt.str "%s depth %d: equal languages" name depth)
+            true
+            (Language.equivalent_bool a b ~alphabet ~depth)
       done)
 
 let q1_q2 = Relation.union Instances.q1 Instances.q2
@@ -133,6 +140,7 @@ let account_pairs =
    spec kind (eta, eta', delta*, account) and several relations. *)
 let views_pairs =
   let hist spec rel = Qca.automaton spec rel in
+  let pair ?alphabet ?max_depth = pair ?alphabet ?max_depth ~equal:true in
   [
     pair "views vs history-state: QCA(PQ,{Q1,Q2},eta)" (pq_qca q1_q2)
       (hist Instances.pq_spec_eta q1_q2);
@@ -151,6 +159,113 @@ let views_pairs =
     pair ~alphabet:account_alphabet "views vs history-state: QCA(Account,{A2})"
       (account_qca Instances.a2)
       (hist Instances.account_spec Instances.a2);
+    (* the fifo/bottom point: with the empty relation every subset is
+       Q-closed, so the history-state side is exponential in the depth —
+       depths 1..7 take about half a second on a 2-core host, 1..8 about
+       3.5 s *)
+    pair ~max_depth:7 "views vs history-state: QCA(FIFO,{},eta_fifo)"
+      (fifo_qca Relation.empty)
+      (hist Instances.fifo_spec_eta Relation.empty);
+  ]
+
+(* The views automaton memoizes its step inside the automaton value, so
+   one value serves every pass over a lattice point.  Reusing it for
+   [included a b], [included b a] and [size], twice over, must give the
+   verdicts fresh values give, and the second round must count exactly
+   the work of the first: the memo saves time, never counted work. *)
+let warm_reuse ?(alphabet = queue_alphabet) ?(depth = 5) name mk_a mk_b =
+  Alcotest.test_case name `Quick (fun () ->
+      let verdict = function
+        | Ok () -> "ok"
+        | Error c -> Fmt.str "%a" Language.pp_counterexample c
+      in
+      let round a b =
+        Language.Stats.reset ();
+        let ab = verdict (Language.included a b ~alphabet ~depth) in
+        let ba = verdict (Language.included b a ~alphabet ~depth) in
+        let n = Language.size a ~alphabet ~depth in
+        let st = Language.Stats.read () in
+        ((ab, ba, n), [ st.histories; st.visited; st.memo_hits ])
+      in
+      let fresh =
+        ( verdict (Language.included (mk_a ()) (mk_b ()) ~alphabet ~depth),
+          verdict (Language.included (mk_b ()) (mk_a ()) ~alphabet ~depth),
+          Language.size (mk_a ()) ~alphabet ~depth )
+      in
+      let a = mk_a () and b = mk_b () in
+      let first, stats1 = round a b in
+      let second, stats2 = round a b in
+      let verdicts = Alcotest.(triple string string int) in
+      Alcotest.check verdicts (name ^ ": first round = fresh") fresh first;
+      Alcotest.check verdicts (name ^ ": second round = fresh") fresh second;
+      Alcotest.(check (list int))
+        (name ^ ": second round counts the same work")
+        stats1 stats2)
+
+let warm_pairs =
+  [
+    warm_reuse "PQ/eta: QCA(PQ,{Q1},eta) vs MPQ"
+      (fun () -> pq_qca Instances.q1)
+      (fun () -> Mpq.automaton);
+    warm_reuse "PQ/eta': QCA(PQ,{Q2},eta') vs QCA(PQ,{Q2},eta)"
+      (fun () -> pq_qca' Instances.q2)
+      (fun () -> pq_qca Instances.q2);
+    warm_reuse "FIFO/eta_fifo: QCA(FIFO,{Q1},eta) vs RFQ"
+      (fun () -> fifo_qca Instances.q1)
+      (fun () -> Rfq.automaton);
+    warm_reuse ~alphabet:account_alphabet
+      "Account: QCA(Account,{A2}) vs Account"
+      (fun () -> account_qca Instances.a2)
+      (fun () -> Account.automaton);
+  ]
+
+(* Views states are interned, so equality and hashing are integer
+   operations; whatever the representation, the hash must agree with
+   equality.  Each sample is two accepted histories, walked through one
+   automaton value by the drawn choices, and every pair of states along
+   the two walks is checked. *)
+let hash_consistent ?(alphabet = queue_alphabet) name a =
+  let hash = Option.get (Automaton.hash_state a) in
+  let walk choices =
+    List.fold_left
+      (fun (s, acc) c ->
+        match List.concat_map (Automaton.step a s) alphabet with
+        | [] -> (s, acc)
+        | succs ->
+          let s' = List.nth succs (c mod List.length succs) in
+          (s', s' :: acc))
+      (Automaton.init a, [ Automaton.init a ])
+      choices
+    |> snd
+  in
+  let choices = QCheck.(list_of_size (Gen.int_range 0 8) small_nat) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:200 (QCheck.pair choices choices)
+       (fun (c1, c2) ->
+         let w1 = walk c1 and w2 = walk c2 in
+         List.for_all
+           (fun s1 ->
+             List.for_all
+               (fun s2 ->
+                 (not (Automaton.equal_state a s1 s2)) || hash s1 = hash s2)
+               w2)
+           w1))
+
+let hash_tests =
+  [
+    hash_consistent "hash agrees with equality: QCA(PQ,{Q1},eta)"
+      (pq_qca Instances.q1);
+    hash_consistent "hash agrees with equality: QCA(PQ,{Q2},eta')"
+      (pq_qca' Instances.q2);
+    hash_consistent "hash agrees with equality: QCA(FIFO,{},eta_fifo)"
+      (fifo_qca Relation.empty);
+    hash_consistent "hash agrees with equality: QCA(MPQ,{Q1},delta*)"
+      (Qca.automaton_views ~alphabet:queue_alphabet
+         (Qca.spec_of_automaton Mpq.automaton)
+         Instances.q1);
+    hash_consistent ~alphabet:account_alphabet
+      "hash agrees with equality: QCA(Account,{A2})"
+      (account_qca Instances.a2);
   ]
 
 (* The memoized checker decides inclusion on the product state-set graph
@@ -186,5 +301,7 @@ let () =
       ("collapses", collapse_pairs);
       ("account", account_pairs);
       ("views", views_pairs);
+      ("warm-reuse", warm_pairs);
+      ("hash-consistency", hash_tests);
       ("witness-fallback", witness_pairs);
     ]
