@@ -260,13 +260,19 @@ let chaos_trace =
   | Ok t -> t
   | Error e -> failwith e
 
-(* One completed history plus its point's acceptance predicate, so the
+(* One completed history plus its point's online oracle factory, so the
    oracle can be timed in isolation from the simulation that fed it. *)
-let chaos_history, chaos_accepts =
+let chaos_history, chaos_online =
   match (Chaos_x.run_trace chaos_trace, Chaos_x.find "top") with
-  | Ok (result, _), Ok scenario ->
-      (result.Relax_chaos.Runner.history, scenario.Chaos_x.accepts)
+  | Ok result, Ok scenario ->
+      (result.Relax_chaos.Runner.history, scenario.Chaos_x.online)
   | Error e, _ | _, Error e -> failwith e
+
+(* A fresh oracle fed a whole history: the conformance check of one run. *)
+let judge online history =
+  let o = online () in
+  Relax_degrade.Online.feed o history;
+  Relax_degrade.Online.violation o
 
 let rows_chaos =
   [
@@ -278,9 +284,7 @@ let rows_chaos =
     ( "chaos/single-run+oracle (X-chaos)",
       fun () -> ignore (Chaos_x.run_trace chaos_trace) );
     ( "chaos/oracle-check (X-chaos)",
-      fun () ->
-        ignore (Relax_chaos.Oracle.check ~accepts:chaos_accepts chaos_history)
-    );
+      fun () -> ignore (judge chaos_online chaos_history) );
     ( "chaos/trace-roundtrip (X-chaos)",
       fun () ->
         ignore
@@ -307,7 +311,7 @@ let print_chaos_sweep () =
           match Chaos_x.find r.Chaos_x.trace.Relax_chaos.Trace.point with
           | Ok s ->
               ignore
-                (Relax_chaos.Oracle.check ~accepts:s.Chaos_x.accepts
+                (judge s.Chaos_x.online
                    r.Chaos_x.result.Relax_chaos.Runner.history)
           | Error e -> failwith e)
         report.Chaos_x.reports;

@@ -34,7 +34,6 @@
                           switching
      rlx simulate taxi --timeout 80 --retries 3 --backoff 4
                           override the client knobs of any simulation
-     rlx availability     availability of every lattice point
      rlx compare PQ MPQ   Section 5's comparison of specifications
      rlx trait ...        inspect/normalize the standard traits
      rlx ... --trace-out FILE
@@ -88,8 +87,7 @@ let with_trace trace_out f =
    unknown-check hint and the listing all derive from the claim catalog,
    so a new group registers itself everywhere at once.  Claims are fanned
    out over domains by the engine and rendered by the selected reporter;
-   the human format is byte-identical to the historical output at any
-   degree of parallelism. *)
+   the output is identical at any degree of parallelism. *)
 (* Group/glob selection: a claim group (or all), narrowed by --only. *)
 let select_registry what only depth strategy =
   let module R = Relax_claims.Registry in
@@ -153,6 +151,13 @@ let run_check what only format depth strategy jobs trace_out =
       Relax_claims.Reporter.pp format out results;
       exit_of (Relax_claims.Engine.ok results)
 
+(* Run one claim group on the calling domain — so the ambient tracer of
+   --trace-out sees every claim span — and print it as `rlx check` does. *)
+let run_group (g : Relax_claims.Registry.group) =
+  let results = [ (g, List.map Relax_claims.Engine.run_claim g.claims) ] in
+  Relax_claims.Reporter.pp Relax_claims.Reporter.Human out results;
+  exit_of (Relax_claims.Engine.ok results)
+
 (* The trait/interface figures print their checked sources; 4-2 and 5-1
    are regenerated from the lattice machinery and the case studies. *)
 let run_figure which =
@@ -178,7 +183,7 @@ let run_figure which =
   | "3-5" -> show_iface Relax_larch.Theories.degen_iface_src
   | "4-1" -> show_iface (Relax_larch.Theories.semiqueue_iface_src ~k:2)
   | "4-3" -> show_iface (Relax_larch.Theories.stuttering_iface_src ~j:2)
-  | "4-2" -> exit_of (Relax_experiments.Fig42.run out ())
+  | "4-2" -> run_group (Relax_experiments.Fig42.group ())
   | "5-1" -> exit_of (Relax_experiments.Fig51.run out ())
   | other ->
     Fmt.epr
@@ -199,23 +204,23 @@ let run_simulate which seed timeout retries backoff trace_out =
         (fun seed -> { Relax_experiments.Taxi.default_params with seed })
         seed
     in
-    exit_of
-      (Relax_experiments.Taxi.run ?params ?timeout ?retries ?backoff out ())
+    run_group
+      (Relax_experiments.Taxi.group ?params ?timeout ?retries ?backoff ())
   | "atm" ->
     let params =
       Option.map
         (fun seed -> { Relax_experiments.Atm.default_params with seed })
         seed
     in
-    exit_of
-      (Relax_experiments.Atm.run ?params ?timeout ?retries ?backoff out ())
+    run_group
+      (Relax_experiments.Atm.group ?params ?timeout ?retries ?backoff ())
   | "spooler" ->
     if timeout <> None || retries <> None || backoff <> None then
       Fmt.epr
         "note: --timeout/--retries/--backoff do not apply to the spooler \
          (no replica client)@.";
     let seeds = Option.map (fun s -> List.init 3 (fun i -> s + i)) seed in
-    exit_of (Relax_experiments.Spooler.run ?seeds out ())
+    run_group (Relax_experiments.Spooler.group ?seeds ())
   | other ->
     Fmt.epr "unknown simulation %S (expected taxi | atm | spooler)@." other;
     2
@@ -297,9 +302,9 @@ let check_cmd =
   in
   let format =
     let doc =
-      "Output format: $(b,human) (the legacy report), $(b,json) (one \
-       document with per-claim status, counterexample and checker stats) \
-       or $(b,tap) (TAP v14)."
+      "Output format: $(b,human) (one line per claim, or its table), \
+       $(b,json) (one document with per-claim status, counterexample and \
+       checker stats) or $(b,tap) (TAP v14)."
     in
     Arg.(
       value
@@ -444,7 +449,7 @@ let run_chaos_replay file verbose trace_out =
     | Error e ->
       Fmt.epr "%s@." e;
       2
-    | Ok (result, verdict) ->
+    | Ok result ->
       if verbose then Fmt.pr "%a@\n" Relax_chaos.Trace.pp trace;
       Fmt.pr "point %s, seed %d: %d completed, %d unavailable, %d retries, \
               %d mode switches@\n"
@@ -454,8 +459,8 @@ let run_chaos_replay file verbose trace_out =
         result.Relax_chaos.Runner.retries_used
         result.Relax_chaos.Runner.mode_switches;
       Fmt.pr "digest: %s@\n" (Digest.to_hex (Digest.string result.Relax_chaos.Runner.digest));
-      Fmt.pr "%a@." Relax_chaos.Oracle.pp verdict;
-      exit_of (Relax_chaos.Oracle.conforms verdict))
+      Fmt.pr "%a@." Relax_chaos.Runner.pp_verdict result;
+      exit_of (Option.is_none result.Relax_chaos.Runner.violation))
 
 let run_chaos_list () =
   let module X = Relax_experiments.Chaos_scenarios in
@@ -645,13 +650,11 @@ let debug_cmd =
 (* rlx degrade                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Success means the controller's three promises all held: every
-   controlled history in the predicted language, the online oracle
-   agreeing with the post-hoc replay, and switching bounded by the
+(* Success means both of the controller's promises held: every controlled
+   history in the predicted language, and switching bounded by the
    hysteresis dwell. *)
 let degrade_ok (report : Relax_experiments.Degrade_x.sweep_report) =
   report.Relax_experiments.Degrade_x.violations = 0
-  && report.Relax_experiments.Degrade_x.online_disagreements = 0
   && report.Relax_experiments.Degrade_x.max_switches
      <= report.Relax_experiments.Degrade_x.switch_limit
 
@@ -719,8 +722,7 @@ let degrade_cmd =
   let exits =
     Cmd.Exit.info
       ~doc:
-        "zero conformance violations, the online oracle agreed with the \
-         post-hoc replay everywhere, and switching stayed within the \
+        "zero conformance violations, and switching stayed within the \
          hysteresis bound."
       0
     :: Cmd.Exit.info ~doc:"at least one of those promises broke." 1
@@ -1064,29 +1066,6 @@ let ldfi_cmd =
      budget, or a minimal counterexample."
   in
   Cmd.group (Cmd.info "ldfi" ~doc) [ run_cmd; hunt_cmd; report_cmd ]
-
-let availability_cmd =
-  let doc = "Availability of every lattice point (exact + Monte Carlo)." in
-  Cmd.v
-    (Cmd.info "availability" ~doc)
-    Term.(
-      const (fun jobs ->
-          apply_jobs jobs;
-          exit_of (Relax_experiments.Availability.run out ()))
-      $ jobs_arg)
-
-let lattice_cmd =
-  let doc = "Print and check the replicated-PQ relaxation lattice." in
-  Cmd.v
-    (Cmd.info "lattice" ~doc)
-    Term.(
-      const (fun depth ->
-          let alphabet =
-            Relax_objects.Queue_ops.alphabet
-              (Relax_objects.Queue_ops.universe 2)
-          in
-          exit_of (Relax_experiments.Pq_checks.run ~alphabet ~depth out ()))
-      $ depth_arg)
 
 (* rlx trait show Bag / rlx trait theory Bag / rlx trait normalize Bag "expr" *)
 let run_trait action name expr =
@@ -1584,7 +1563,7 @@ let main =
     (Cmd.info "rlx" ~version:"1.0.0" ~doc)
     [
       check_cmd; figure_cmd; simulate_cmd; chaos_cmd; debug_cmd; ldfi_cmd;
-      degrade_cmd; availability_cmd; lattice_cmd; load_cmd; relax_cmd;
+      degrade_cmd; load_cmd; relax_cmd;
       trait_cmd; compare_cmd; behaviors_cmd;
     ]
 

@@ -9,10 +9,9 @@
    degraded assignment and when the restore gate allows re-strengthening,
    and every transition is emitted as a Degrade/Restore event into the
    history, which thus replays through the Section 2.3 combined automaton
-   unchanged.  The caller judges the returned history with
-   {!Oracle.check}; passing an [online] oracle factory additionally
-   checks it incrementally, flagging the violation at the operation that
-   causes it.
+   unchanged.  The caller's [online] oracle factory judges the history
+   incrementally, flagging the violation at the operation that causes
+   it; that one verdict is the run's.
 
    Everything observable is deterministic in (config, events): the
    engine, network and replica draw from streams derived from
@@ -93,7 +92,7 @@ type result = {
   time_to_degrade : float list;
   time_to_restore : float list;
   gossip_rounds : int;
-  online_violation : Degrade.Online.violation option;
+  violation : Degrade.Online.violation option;
   recoveries : int;  (** journal recoveries performed (durable runs) *)
   metrics : Relax_obs.Metrics.t;
   digest : string;
@@ -104,7 +103,7 @@ type result = {
 let is_empty_view reason =
   String.length reason >= 2 && reason.[0] = 'n' && reason.[1] = 'o'
 
-let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
+let run ?(config = default_config) ?(durable = false) ~online ~client ~respond
     events =
   let engine = Relax_sim.Engine.create ~seed:config.seed () in
   let net =
@@ -142,7 +141,7 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
   and unavailable = ref 0
   and empty_views = ref 0
   and switches = ref 0 in
-  let oracle = Option.map (fun make -> make ()) online in
+  let oracle = online () in
   let controlled_history = ref [] in
   (* For a controlled client the oracle consumes the history as it is
      produced — events and operations in claim order — so a violation is
@@ -150,7 +149,7 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
      replica's completion record, fed to the oracle after the run. *)
   let emit p =
     controlled_history := p :: !controlled_history;
-    Option.iter (fun o -> Degrade.Online.step o p) oracle
+    Degrade.Online.step oracle p
   in
   let controller =
     match client with
@@ -277,17 +276,15 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
     | Fixed _ -> Replica.completed_history replica
     | Controlled _ -> List.rev !controlled_history
   in
-  (match (client, oracle) with
-  | Fixed _, Some o -> Degrade.Online.feed o history
-  | _ -> ());
+  (match client with
+  | Fixed _ -> Degrade.Online.feed oracle history
+  | Controlled _ -> ());
   let transitions =
     match controller with
     | None -> []
     | Some c -> Degrade.Controller.transitions c
   in
-  let online_violation =
-    Option.bind oracle (fun o -> Degrade.Online.violation o)
-  in
+  let violation = Degrade.Online.violation oracle in
   let sent, delivered, dropped = Relax_sim.Network.stats net in
   let digest =
     Fmt.str
@@ -298,7 +295,7 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
       (Replica.retries_total replica)
       sent delivered dropped
       (Relax_sim.Network.duplicated net)
-      (match online_violation with
+      (match violation with
       | None -> "ok"
       | Some v -> Fmt.str "viol@%d" v.Degrade.Online.index)
       History.pp history
@@ -324,8 +321,19 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
       (match controller with
       | None -> 0
       | Some c -> Degrade.Anti_entropy.rounds (Degrade.Controller.anti_entropy c));
-    online_violation;
+    violation;
     recoveries = Replica.recoveries replica;
     metrics;
     digest;
   }
+
+let pp_verdict ppf r =
+  match r.violation with
+  | None -> Fmt.string ppf "conforms"
+  | Some v ->
+    Fmt.pf ppf
+      "@[<v>VIOLATION: history of %d operations rejected;@ shortest rejected \
+       prefix (%d ops): %a@]"
+      (List.length r.history)
+      (List.length v.Degrade.Online.prefix)
+      History.pp v.Degrade.Online.prefix

@@ -4,8 +4,8 @@
     The runner is scenario-agnostic: the caller supplies the client (a
     fixed quorum assignment, or a controlled client whose lattice
     movement is delegated to the degradation controller of lib/degrade,
-    emitting Degrade/Restore events as it moves between modes) and
-    judges the returned history with {!Oracle.check}.  Everything
+    emitting Degrade/Restore events as it moves between modes) and the
+    online conformance oracle that judges the history.  Everything
     observable is deterministic in [(config, events)]. *)
 
 open Relax_core
@@ -63,8 +63,9 @@ type result = {
   time_to_degrade : float list;
   time_to_restore : float list;
   gossip_rounds : int;  (** adaptive anti-entropy rounds (controlled) *)
-  online_violation : Relax_degrade.Online.violation option;
-      (** [None] when no online oracle was passed, or it conforms *)
+  violation : Relax_degrade.Online.violation option;
+      (** the online oracle's verdict: [None] when the history conforms,
+          else the shortest rejected prefix *)
   recoveries : int;
       (** journal recoveries performed (0 unless the run was durable) *)
   metrics : Relax_obs.Metrics.t;
@@ -73,9 +74,9 @@ type result = {
           string equality of digests *)
 }
 
-(** [online], when given, builds a fresh incremental conformance oracle
-    per run: a controlled client's history is streamed through it as it
-    is produced (violations are flagged at the causing event), a fixed
+(** [online] builds a fresh incremental conformance oracle for the run:
+    a controlled client's history is streamed through it as it is
+    produced (violations are flagged at the causing event), a fixed
     client's completion record is fed after the run.
 
     [durable] (default false) gives every site a write-ahead journal:
@@ -86,8 +87,13 @@ type result = {
 val run :
   ?config:config ->
   ?durable:bool ->
-  ?online:(unit -> Relax_degrade.Online.t) ->
+  online:(unit -> Relax_degrade.Online.t) ->
   client:client ->
   respond:Relax_replica.Replica.response_chooser ->
   Fault.event list ->
   result
+
+(** The run's verdict: ["conforms"], or ["VIOLATION: history of N
+    operations rejected;"] and, on the next line, ["shortest rejected
+    prefix (k ops): ..."]. *)
+val pp_verdict : result Fmt.t

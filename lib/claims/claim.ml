@@ -25,8 +25,6 @@ let kind_to_string = function
   | Characterization -> "characterization"
   | Numeric -> "numeric"
 
-let pp_kind ppf k = Fmt.string ppf (kind_to_string k)
-
 type t = {
   id : string;
   kind : kind;
@@ -38,13 +36,14 @@ type t = {
 let make ~id ~kind ~paper ~description check =
   { id; kind; paper; description; check }
 
-(* A claim decided by a report-style checker: [render] prints the legacy
-   table/lines into the formatter and returns the overall outcome; the
-   captured text becomes the verdict's human rendering. *)
+(* A claim decided by a report-style checker: [render] prints its table
+   into the formatter and returns the overall outcome; the captured text
+   is the verdict's report, which the human reporter shows verbatim. *)
 let report ~id ~kind ~paper ~description ~detail render =
   make ~id ~kind ~paper ~description (fun () ->
       let buf = Buffer.create 512 in
       let ppf = Format.formatter_of_buffer buf in
       let ok = render ppf in
       Format.pp_print_flush ppf ();
-      Verdict.of_bool ok ~detail ~human:(Buffer.contents buf))
+      let report = Some (Buffer.contents buf) in
+      { (Verdict.of_bool ok ~detail) with report })

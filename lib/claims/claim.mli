@@ -14,7 +14,6 @@ type kind =
   | Numeric  (** a quantitative claim (probabilities, availability) *)
 
 val kind_to_string : kind -> string
-val pp_kind : kind Fmt.t
 
 type t = {
   id : string;  (** stable id, [group/claim], e.g. ["pq/theorem4"] *)
@@ -33,8 +32,9 @@ val make :
   t
 
 (** [report ... render] is a claim decided by a report-style checker:
-    [render ppf] prints the legacy table/lines and returns the overall
-    outcome; the captured text becomes the verdict's human rendering. *)
+    [render ppf] prints its table and returns the overall outcome; the
+    captured text becomes the verdict's [report], which the human
+    reporter prints in place of the one-line rendering. *)
 val report :
   id:string ->
   kind:kind ->

@@ -13,34 +13,6 @@ open Relax_core
 
 type outcome = { claim : Claim.t; verdict : Verdict.t }
 
-let run_claim (claim : Claim.t) =
-  Language.Stats.reset ();
-  let t0 = Unix.gettimeofday () in
-  let verdict =
-    match claim.check () with
-    | v -> v
-    | exception e ->
-      let msg = Printexc.to_string e in
-      Verdict.error ~detail:msg
-        ~human:(Fmt.str "[FAIL] %s — raised %s@\n" claim.description msg)
-        msg
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let s = Language.Stats.read () in
-  {
-    claim;
-    verdict =
-      Verdict.with_stats verdict
-        {
-          Verdict.histories = s.Language.Stats.histories;
-          visited = s.Language.Stats.visited;
-          memo_hits = s.Language.Stats.memo_hits;
-          obligations = s.Language.Stats.obligations;
-          relation = s.Language.Stats.relation;
-          wall_s;
-        };
-  }
-
 module A = Relax_obs.Tracer.Ambient
 module At = Relax_obs.Attr
 
@@ -64,14 +36,41 @@ let stat_attrs (v : Verdict.t) =
       At.int "relation" v.Verdict.stats.Verdict.relation;
     ]
 
-(* Run one claim under an ambient span carrying its memo/product stats.
-   Deliberately NOT the wall clock: traces of deterministic runs must be
-   byte-identical, and wall time is the one nondeterministic stat. *)
-let run_claim_traced claim =
-  if not (A.active ()) then run_claim claim
+let measure (claim : Claim.t) =
+  Language.Stats.reset ();
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    match claim.check () with
+    | v -> v
+    | exception e ->
+      let msg = Printexc.to_string e in
+      Verdict.error ~detail:msg msg
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let s = Language.Stats.read () in
+  {
+    claim;
+    verdict =
+      Verdict.with_stats verdict
+        {
+          Verdict.histories = s.Language.Stats.histories;
+          visited = s.Language.Stats.visited;
+          memo_hits = s.Language.Stats.memo_hits;
+          obligations = s.Language.Stats.obligations;
+          relation = s.Language.Stats.relation;
+          wall_s;
+        };
+  }
+
+(* Under an active ambient tracer the claim runs inside a span carrying
+   its memo/product stats — deliberately NOT the wall clock: traces of
+   deterministic runs must be byte-identical, and wall time is the one
+   nondeterministic stat.  Inside {!run}'s fan-out no tracer is active. *)
+let run_claim claim =
+  if not (A.active ()) then measure claim
   else begin
     A.begin_span ("claim/" ^ claim.Claim.id);
-    let o = run_claim claim in
+    let o = measure claim in
     List.iter A.set_attr (stat_attrs o.verdict);
     A.end_span ();
     o
@@ -118,15 +117,3 @@ let ok results =
   List.for_all
     (fun (_, outcomes) -> List.for_all (fun o -> Verdict.ok o.verdict) outcomes)
     results
-
-(* Sequential render of one group — the legacy [run ppf] entry points of
-   the experiment modules are thin wrappers over this, so `rlx simulate`
-   and the integration tests keep their exact output. *)
-let run_print (g : Registry.group) ppf =
-  if g.header <> "" then Fmt.string ppf g.header;
-  List.fold_left
-    (fun acc claim ->
-      let o = run_claim_traced claim in
-      Fmt.string ppf o.verdict.Verdict.human;
-      acc && Verdict.ok o.verdict)
-    true g.claims

@@ -5,7 +5,9 @@ type outcome = { claim : Claim.t; verdict : Verdict.t }
 
 (** Run one claim on the calling domain: resets the domain-local
     {!Relax_core.Language.Stats} counters, times the thunk, converts a
-    raised exception into an [Error] verdict, and attaches the stats. *)
+    raised exception into an [Error] verdict, and attaches the stats.
+    When an ambient tracer is active the claim runs inside a
+    [claim/<id>] span carrying its memo/product stats. *)
 val run_claim : Claim.t -> outcome
 
 (** Run every claim of the registry, one pool task per claim; results
@@ -23,7 +25,3 @@ val ok : (Registry.group * outcome list) list -> bool
     nondeterministic partial view. *)
 val record_trace :
   Relax_obs.Tracer.t -> (Registry.group * outcome list) list -> unit
-
-(** Sequentially run and print one group in the legacy human format
-    (banner, then each claim's rendering); [true] when all pass. *)
-val run_print : Registry.group -> Format.formatter -> bool

@@ -3,11 +3,10 @@
 
    A registry is an ordered list of groups; a group owns a stable id
    (the name `rlx check <gid>` dispatches on), a one-line title for
-   listings, the human-mode banner the legacy reporter printed before
-   the group's lines, and the group's claims.  Construction validates
-   the id discipline — group ids unique, every claim id prefixed by its
-   group id — so the CLI, the bench harness and CI can all trust ids as
-   addresses. *)
+   listings, the human-mode banner printed before the group's lines,
+   and the group's claims.  Construction validates the id discipline —
+   group ids unique, every claim id prefixed by its group id — so the
+   CLI, the bench harness and CI can all trust ids as addresses. *)
 
 type group = {
   gid : string;

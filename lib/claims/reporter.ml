@@ -1,8 +1,10 @@
 (* Pluggable reporters over engine results.
 
-   Human: byte-identical to the pre-registry `rlx check all` output —
-   each group's banner followed by each verdict's legacy rendering,
-   printed verbatim.
+   Human: each group's banner, then one line per claim rendered from its
+   verdict — status, description, detail and proof method — or, for a
+   report-style claim, the table it printed.  This is the only place a
+   claim line is formatted; `rlx check`, `rlx simulate` and `rlx figure`
+   all print through it.
 
    Json: one machine-readable document carrying every claim's id, kind,
    paper reference, status, detail, counterexample and stats; CI diffs
@@ -24,13 +26,34 @@ let format_of_string = function
   | "tap" -> Some Tap
   | _ -> None
 
+(* The method column: how a language claim routed through the proof
+   pipeline was decided; empty for claims outside the pipeline. *)
+let method_suffix = function
+  | None -> ""
+  | Some (Verdict.Proved_simulation { enqs; _ }) ->
+    Fmt.str " [proved: sim, ≤%d enqs]" enqs
+  | Some (Verdict.Bounded _) -> " [bounded: enum]"
+
+(* [ok|FAIL] <description>[ — <detail>][ <method>], or the report table;
+   a raised claim reads [FAIL] <description> — raised <message>. *)
+let pp_outcome ppf (o : Engine.outcome) =
+  let v = o.verdict and description = o.claim.Claim.description in
+  match (v.Verdict.status, v.Verdict.report) with
+  | Verdict.Error msg, _ ->
+    Fmt.pf ppf "[FAIL] %s — raised %s@\n" description msg
+  | _, Some table -> Fmt.string ppf table
+  | (Verdict.Pass | Verdict.Fail), None ->
+    Fmt.pf ppf "[%s] %s%s%s@\n"
+      (if Verdict.ok v then "ok" else "FAIL")
+      description
+      (if v.Verdict.detail = "" then "" else " — " ^ v.Verdict.detail)
+      (method_suffix v.Verdict.proof_method)
+
 let pp_human ppf results =
   List.iter
     (fun ((g : Registry.group), outcomes) ->
       if g.header <> "" then Fmt.string ppf g.header;
-      List.iter
-        (fun (o : Engine.outcome) -> Fmt.string ppf o.verdict.Verdict.human)
-        outcomes)
+      List.iter (pp_outcome ppf) outcomes)
     results
 
 (* --- JSON ----------------------------------------------------------- *)

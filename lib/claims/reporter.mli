@@ -1,13 +1,16 @@
-(** Pluggable reporters over engine results: the byte-identical legacy
-    human rendering, a machine-readable JSON document, and TAP v14. *)
+(** Pluggable reporters over engine results: the human rendering, a
+    machine-readable JSON document, and TAP v14. *)
 
 type format = Human | Json | Tap
 
 val format_to_string : format -> string
 val format_of_string : string -> format option
 
-(** Render grouped engine results in the requested format.  [Human] is
-    byte-identical to the pre-registry `rlx check all` output; [Json]
+(** Render grouped engine results in the requested format.  [Human]
+    prints each group's header, then per claim either a report claim's
+    table or the one line
+    [\[ok|FAIL\] <description>\[ — <detail>\]\[ <method>\]], where an
+    [Error] reads [\[FAIL\] <description> — raised <message>].  [Json]
     emits one document with per-claim status, detail, counterexample and
     stats; [Tap] emits TAP v14, one test point per claim. *)
 val pp :

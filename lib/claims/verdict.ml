@@ -1,11 +1,10 @@
 (* Structured verdicts: the result of checking one claim.
 
-   A verdict separates what the old print-driven checkers interleaved:
-   the machine-readable outcome (status, detail, optional counterexample,
-   checker statistics) from the exact human rendering the legacy
-   reporters printed.  Keeping the rendering inside the verdict is what
-   lets the human reporter reproduce the pre-refactor `rlx check all`
-   output byte for byte while the same verdicts feed JSON and TAP. *)
+   A verdict is the machine-readable outcome (status, detail, optional
+   counterexample, proof method, checker statistics); every reporter
+   renders from it.  The one piece of text it carries is the table a
+   report-style claim printed while deciding itself, which the human
+   reporter shows verbatim. *)
 
 type status = Pass | Fail | Error of string
 
@@ -52,18 +51,24 @@ type t = {
   detail : string;
   counterexample : string option;
   proof_method : proof_method option;
-  human : string;
+  report : string option;
   stats : stats;
 }
 
-let make ?(detail = "") ?counterexample ?proof_method ~human status =
-  { status; detail; counterexample; proof_method; human; stats = no_stats }
+let make ?(detail = "") ?counterexample ?proof_method status =
+  {
+    status;
+    detail;
+    counterexample;
+    proof_method;
+    report = None;
+    stats = no_stats;
+  }
 
-let of_bool ?detail ?counterexample ?proof_method ~human ok =
-  make ?detail ?counterexample ?proof_method ~human (if ok then Pass else Fail)
+let of_bool ?detail ?counterexample ?proof_method ok =
+  make ?detail ?counterexample ?proof_method (if ok then Pass else Fail)
 
-let error ?detail ?counterexample ~human msg =
-  make ?detail ?counterexample ~human (Error msg)
+let error ?detail ?counterexample msg = make ?detail ?counterexample (Error msg)
 
 let with_stats v stats = { v with stats }
 
@@ -73,9 +78,3 @@ let status_to_string = function
   | Pass -> "pass"
   | Fail -> "fail"
   | Error _ -> "error"
-
-let pp_status ppf s = Fmt.string ppf (status_to_string s)
-
-let pp ppf v =
-  Fmt.pf ppf "%a%s" pp_status v.status
-    (if v.detail = "" then "" else " — " ^ v.detail)

@@ -2,10 +2,9 @@
 
     A verdict carries the machine-readable outcome — status, a short
     detail, an optional counterexample history (rendered), the proof
-    method that decided it, and checker statistics — together with the
-    exact human rendering the legacy print-driven checkers produced, so
-    the human reporter stays byte-identical to the pre-registry output
-    while JSON/TAP reporters read the structure. *)
+    method that decided it, and checker statistics.  Every reporter
+    renders from these fields; the only text a verdict carries is the
+    table a report-style claim printed ({!Relax_claims.Claim.report}). *)
 
 type status =
   | Pass
@@ -45,9 +44,10 @@ type t = {
   detail : string;  (** one-line elaboration ("209 histories, depth 5") *)
   counterexample : string option;  (** rendered separating history *)
   proof_method : proof_method option;
-  human : string;
-      (** the exact line(s) the legacy reporter printed for this claim,
-          newline-terminated; [""] when the claim has no legacy line *)
+  report : string option;
+      (** the table a report-style claim printed, newline-terminated;
+          [None] for claims the human reporter renders as one line from
+          the fields above *)
   stats : stats;
 }
 
@@ -55,7 +55,6 @@ val make :
   ?detail:string ->
   ?counterexample:string ->
   ?proof_method:proof_method ->
-  human:string ->
   status ->
   t
 
@@ -64,11 +63,10 @@ val of_bool :
   ?detail:string ->
   ?counterexample:string ->
   ?proof_method:proof_method ->
-  human:string ->
   bool ->
   t
 
-val error : ?detail:string -> ?counterexample:string -> human:string -> string -> t
+val error : ?detail:string -> ?counterexample:string -> string -> t
 
 (** Replace the stats (the engine measures them around the thunk). *)
 val with_stats : t -> stats -> t
@@ -77,5 +75,3 @@ val with_stats : t -> stats -> t
 val ok : t -> bool
 
 val status_to_string : status -> string
-val pp_status : status Fmt.t
-val pp : t Fmt.t

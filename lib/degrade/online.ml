@@ -1,19 +1,16 @@
-(* The online conformance oracle: an incremental version of
-   [Chaos.Oracle].
+(* The online conformance oracle: the one judge of every chaos run.
 
-   The post-hoc oracle replays a completed history through the predicted
-   behavior's automaton and, on rejection, bisects for the shortest
-   rejected prefix.  Online checking maintains the automaton's reachable
-   frontier as operations complete: the frontier after a prefix is empty
-   iff the prefix is rejected, so a violation is flagged at the exact
-   operation that causes it, with the offending prefix already in hand
-   (no bisection needed) — ready for the trace shrinker.
+   It maintains the predicted behavior's automaton frontier as
+   operations complete: the frontier after a prefix is empty iff the
+   prefix is rejected, so a violation is flagged at the exact operation
+   that causes it, with the offending prefix already in hand — ready for
+   the trace shrinker.
 
    The oracle freezes at the first violation: the offending prefix is the
-   verdict, and stepping a dead frontier could only stay dead.  For the
-   same history the verdict agrees with [Oracle.check ~accepts] whenever
-   [accepts] is [Automaton.accepts] of the same automaton, because both
-   are frontier-emptiness of the same delta* (property-tested in
+   verdict, and stepping a dead frontier could only stay dead.  Its
+   verdict is [Automaton.accepts] of the same automaton, and the flagged
+   prefix is the shortest rejected one, because both are
+   frontier-emptiness of the same delta* (property-tested in
    test/test_degrade.ml). *)
 
 open Relax_core
@@ -77,12 +74,3 @@ let frontier t = t.frontier_ ()
 let violation t = t.violation_ ()
 let conforms t = Option.is_none (t.violation_ ())
 let seen t = t.seen_ ()
-
-let pp ppf t =
-  match t.violation_ () with
-  | None ->
-    Fmt.pf ppf "conforms (%d ops, frontier %d)" (List.length (t.seen_ ()))
-      (t.frontier_size ())
-  | Some v ->
-    Fmt.pf ppf "VIOLATION at op %d (%a): offending prefix of %d ops" v.index
-      Op.pp v.op (List.length v.prefix)

@@ -1,14 +1,14 @@
 open Relax_core
 
-(** The online conformance oracle: an incremental [Chaos.Oracle].
+(** The online conformance oracle, which judges every chaos run.
 
     Maintains the predicted behavior's automaton frontier as operations
     complete; the frontier after a prefix is empty iff the prefix is
     rejected, so a violation is flagged at the exact operation causing
-    it, with the offending prefix in hand for the shrinker.  For the same
-    operations, {!conforms} agrees with the post-hoc oracle over
-    [Automaton.accepts] of the same automaton (both are frontier
-    emptiness of the same iterated delta). *)
+    it, with the offending prefix in hand for the shrinker.  {!conforms}
+    is [Automaton.accepts] of the same automaton, and the violation's
+    prefix is the shortest rejected one (both are frontier emptiness of
+    the same iterated delta). *)
 
 type violation = {
   index : int;  (** 0-based position of the offending operation *)
@@ -36,5 +36,3 @@ val conforms : t -> bool
 
 (** Operations consumed before freezing, in order. *)
 val seen : t -> History.t
-
-val pp : t Fmt.t

@@ -20,7 +20,7 @@ open Relax_quorum
    history keeps a non-negative true balance at every prefix; at {A1} and
    {} some history overdraws.  Claims live under "account/". *)
 
-type check = Pq_checks.check = { name : string; ok : bool; detail : string }
+type check = Pq_checks.check = { ok : bool; detail : string }
 
 let amounts = [ 1; 2 ]
 let alphabet = Account.alphabet amounts
@@ -52,23 +52,21 @@ let claims ?(depth = 4) () =
       ~alphabet ~depth;
     Pq_checks.check_claim ~id:"account/a2-strict" ~kind:Inclusion ~paper
       ~description:"{A2} strictly relaxes the account" (fun () ->
-        let name = "{A2} strictly relaxes the account" in
         match
           Language.strictly_included (qca a1_a2) (qca Instances.a2) ~alphabet
             ~depth
         with
         | Ok (Some w) ->
           ( {
-              name;
               ok = is_spurious_bounce_witness w;
               detail = Fmt.str "witness: %a" History.pp w;
             },
             Some (History.to_string w) )
         | Ok None ->
-          ( { name; ok = false; detail = "languages coincide at this bound" },
+          ( { ok = false; detail = "languages coincide at this bound" },
             None )
         | Error c ->
-          ( { name; ok = false; detail = Fmt.str "%a" Language.pp_counterexample c },
+          ( { ok = false; detail = Fmt.str "%a" Language.pp_counterexample c },
             Some (History.to_string c.Language.history) ))
       ;
     Pq_checks.bool_claim ~id:"account/a2-solvent" ~kind:Characterization ~paper
@@ -95,6 +93,3 @@ let group ?depth () =
     header = "== Section 3.4: bank-account lattice (language level) ==\n";
     claims = claims ?depth ();
   }
-
-let run ?depth ppf () =
-  Relax_claims.Engine.run_print (group ?depth ()) ppf

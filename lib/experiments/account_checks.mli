@@ -4,8 +4,5 @@
     spurious bounces (never an overdraft), and relaxing A2 admits real
     overdrafts — claims under ["account/"]. *)
 
-type check = Pq_checks.check = { name : string; ok : bool; detail : string }
-
 val claims : ?depth:int -> unit -> Relax_claims.Claim.t list
 val group : ?depth:int -> unit -> Relax_claims.Registry.group
-val run : ?depth:int -> Format.formatter -> unit -> bool

@@ -192,6 +192,3 @@ let group ?params ?timeout ?retries ?backoff () =
       "== Section 3.4: replicated bank account (A2 kept, A1 relaxed) ==\n";
     claims = claims ?params ?timeout ?retries ?backoff ();
   }
-
-let run ?params ?timeout ?retries ?backoff ppf () =
-  Relax_claims.Engine.run_print (group ?params ?timeout ?retries ?backoff ()) ppf

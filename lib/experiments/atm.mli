@@ -68,14 +68,3 @@ val group :
   ?backoff:float ->
   unit ->
   Relax_claims.Registry.group
-
-(** Print the sweep and the relax-A2 control; [true] when safety and the
-    diminishing-bounce trend hold. *)
-val run :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  Format.formatter ->
-  unit ->
-  bool

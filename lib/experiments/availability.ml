@@ -142,5 +142,3 @@ let group () =
     header = "== Availability of each lattice point (n=5 voting sites) ==\n";
     claims = claims ();
   }
-
-let run ppf () = Relax_claims.Engine.run_print (group ()) ppf

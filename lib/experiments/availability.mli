@@ -29,7 +29,3 @@ val weighted_comparison : ?site_ps:float array -> unit -> float * float
 
 val claims : unit -> Relax_claims.Claim.t list
 val group : unit -> Relax_claims.Registry.group
-
-(** Print the table and the cross-check; [true] when the simulation
-    agrees with the exact value and relaxation never hurts. *)
-val run : Format.formatter -> unit -> bool

@@ -9,13 +9,13 @@ module Chaos = Relax_chaos
    replicated priority queue — the four fixed points of X-deg, plus the
    adaptive client of X-adapt whose histories (with their interleaved
    Degrade/Restore events) are judged by the Section 2.3 combined
-   automaton — together with the acceptance predicate phi(C) predicts
-   for it.
+   automaton — together with the online conformance oracle for the
+   behavior phi(C) predicts for it.
 
    [sweep] is the engine behind `rlx chaos run`: [runs] seeded runs fan
    out over domains (order-preserving, so the report is identical at any
-   --jobs), each generating a nemesis schedule, running it, and checking
-   the completed history against the scenario's language.  A violation
+   --jobs), each generating a nemesis schedule and running it while the
+   scenario's oracle checks the history against its language.  A violation
    is shrunk with ddmin to a 1-minimal replayable trace. *)
 
 type scenario = {
@@ -24,9 +24,8 @@ type scenario = {
   lattice : string; (* rendered constraint set, or "adaptive" *)
   durable : bool; (* sites keep write-ahead journals; Crash = power loss *)
   client : sites:int -> Chaos.Runner.client;
-  accepts : History.t -> bool;
   online : unit -> Relax_degrade.Online.t;
-      (* fresh incremental oracle over the same predicted behavior *)
+      (* fresh incremental oracle over the predicted behavior *)
 }
 
 (* The cset of each X-deg lattice point (independent of the site count). *)
@@ -42,7 +41,6 @@ let fixed ?(durable = false) ?judged_by index name description =
       (fun ~sites ->
         Chaos.Runner.Fixed
           (List.nth (Taxi.points ~n:sites) index).Taxi.assignment);
-    accepts = Taxi.predicted_accepts cset;
     online = (fun () -> Taxi.predicted_online cset);
   }
 
@@ -81,7 +79,6 @@ let all =
               restore = Adaptive.restore_event;
               controller = None;
             });
-      accepts = Automaton.accepts Adaptive.combined;
       online = (fun () -> Relax_degrade.Online.of_automaton Adaptive.combined);
     };
   ]
@@ -145,23 +142,20 @@ let run_trace (trace : Chaos.Trace.t) =
             ~client:(sc.client ~sites:trace.config.Chaos.Runner.sites)
             ~respond:Choosers.pq_eta trace.events
         in
-        let verdict = Chaos.Oracle.check ~accepts:sc.accepts result.history in
         A.instant "chaos/verdict"
           ~attrs:
             [
               At.str "point" trace.point;
-              At.bool "conforms" (Chaos.Oracle.conforms verdict);
-              At.bool "online-viol"
-                (Option.is_some result.Chaos.Runner.online_violation);
+              At.bool "conforms" (Option.is_none result.Chaos.Runner.violation);
             ];
-        Ok (result, verdict))
+        Ok result)
 
 (* Does this schedule, substituted into the trace, still violate?  The
    probe the shrinker drives; deterministic because the runner is. *)
 let violates (trace : Chaos.Trace.t) events =
   match run_trace { trace with events } with
-  | Ok (_, Chaos.Oracle.Violation _) -> true
-  | Ok (_, Chaos.Oracle.Conforms) | Error _ -> false
+  | Ok result -> Option.is_some result.Chaos.Runner.violation
+  | Error _ -> false
 
 let shrink_trace (trace : Chaos.Trace.t) =
   let events, probes =
@@ -177,7 +171,6 @@ type run_report = {
   index : int;
   trace : Chaos.Trace.t;
   result : Chaos.Runner.result;
-  verdict : Chaos.Oracle.verdict;
 }
 
 type violation = {
@@ -219,15 +212,15 @@ let sweep ?jobs ?(config = Chaos.Runner.default_config) ?(shrink = true) ~runs
             | Ok trace -> (
               match run_trace trace with
               | Error e -> failwith e
-              | Ok (result, verdict) -> { index; trace; result; verdict }))
+              | Ok result -> { index; trace; result }))
           specs
       in
       let violations =
         List.filter_map
           (fun r ->
-            match r.verdict with
-            | Chaos.Oracle.Conforms -> None
-            | Chaos.Oracle.Violation _ ->
+            match r.result.Chaos.Runner.violation with
+            | None -> None
+            | Some _ ->
               if shrink then
                 let shrunk, probes = shrink_trace r.trace in
                 Some { report = r; shrunk; probes }
@@ -249,7 +242,9 @@ let pp_summary ppf report =
         in
         let conform =
           List.length
-            (List.filter (fun r -> Chaos.Oracle.conforms r.verdict) rs)
+            (List.filter
+               (fun r -> Option.is_none r.result.Chaos.Runner.violation)
+               rs)
         in
         let completed =
           List.fold_left (fun acc r -> acc + r.result.Chaos.Runner.completed) 0 rs

@@ -1,4 +1,3 @@
-open Relax_core
 module Chaos = Relax_chaos
 
 (** Experiment X-chaos: the chaos runner wired to the paper's objects.
@@ -6,9 +5,10 @@ module Chaos = Relax_chaos
     A scenario is a lattice point of the replicated priority queue (the
     four fixed points of X-deg plus the adaptive client of X-adapt,
     judged by the Section 2.3 combined automaton) together with the
-    acceptance predicate phi(C) predicts for it.  [sweep] drives seeded
-    nemesis runs across domains and shrinks any violation to a
-    1-minimal replayable trace — the engine behind `rlx chaos`. *)
+    online conformance oracle for the behavior phi(C) predicts for it.
+    [sweep] drives seeded nemesis runs across domains and shrinks any
+    violation to a 1-minimal replayable trace — the engine behind `rlx
+    chaos`. *)
 
 type scenario = {
   name : string;
@@ -24,11 +24,9 @@ type scenario = {
           against the empty cset, the honest position once stable
           storage itself can vanish. *)
   client : sites:int -> Chaos.Runner.client;
-  accepts : History.t -> bool;
   online : unit -> Relax_degrade.Online.t;
-      (** a fresh incremental oracle over the same predicted behavior,
-          threaded into each run so violations localize to the causing
-          event *)
+      (** a fresh incremental oracle over the predicted behavior, threaded
+          into each run so violations localize to the causing event *)
 }
 
 val all : scenario list
@@ -47,10 +45,9 @@ val make_trace :
   config:Chaos.Runner.config ->
   (Chaos.Trace.t, string) result
 
-(** Replay a trace and judge its history; [Error] on an unknown point. *)
-val run_trace :
-  Chaos.Trace.t ->
-  (Chaos.Runner.result * Chaos.Oracle.verdict, string) result
+(** Replay a trace, its history judged by the point's online oracle
+    ([result.violation]); [Error] on an unknown point. *)
+val run_trace : Chaos.Trace.t -> (Chaos.Runner.result, string) result
 
 (** Shrink a violating trace to a 1-minimal one (returns the trace
     unchanged if it does not violate); also returns the probe count. *)
@@ -60,7 +57,6 @@ type run_report = {
   index : int;
   trace : Chaos.Trace.t;
   result : Chaos.Runner.result;
-  verdict : Chaos.Oracle.verdict;
 }
 
 type violation = {

@@ -12,13 +12,13 @@ open Relax_objects
    plus the strict inclusion chains between consecutive family members,
    as claims under "collapses/". *)
 
-type check = Pq_checks.check = { name : string; ok : bool; detail : string }
+type check = Pq_checks.check = { ok : bool; detail : string }
 
 (* Strict inclusion: the inclusion side goes through the proof pipeline
    when a strategy is given (a simulated inclusion plus the concrete
    separating witness is a genuinely proved strict inclusion); the
    witness side is always the enumeration, which reconstructs it. *)
-let strict ?strategy name small big ~alphabet ~depth =
+let strict ?strategy small big ~alphabet ~depth =
   let decided, proof_method =
     match strategy with
     | None -> (Language.strictly_included small big ~alphabet ~depth, None)
@@ -31,19 +31,15 @@ let strict ?strategy name small big ~alphabet ~depth =
   in
   match decided with
   | Ok (Some witness) ->
-    ( {
-        name;
-        ok = true;
-        detail = Fmt.str "witness: %a" History.pp witness;
-      },
+    ( { ok = true; detail = Fmt.str "witness: %a" History.pp witness },
       Some (History.to_string witness),
       proof_method )
   | Ok None ->
-    ( { name; ok = false; detail = "languages coincide at this bound" },
+    ( { ok = false; detail = "languages coincide at this bound" },
       None,
       proof_method )
   | Error c ->
-    ( { name; ok = false; detail = Fmt.str "%a" Language.pp_counterexample c },
+    ( { ok = false; detail = Fmt.str "%a" Language.pp_counterexample c },
       Some (History.to_string c.Language.history),
       proof_method )
 
@@ -66,7 +62,7 @@ let claims ?(alphabet = Queue_ops.alphabet (Queue_ops.universe 2)) ?(depth = 5)
   let chain ~id ?(strategy = strategy) name small big =
     Pq_checks.proof_claim ~id ~kind:Inclusion ~paper:"Section 4.2"
       ~description:name (fun () ->
-        strict ?strategy name (small ()) (big ()) ~alphabet ~depth)
+        strict ?strategy (small ()) (big ()) ~alphabet ~depth)
   in
   (* The larch certification audits, on the collapses whose reified term
      shapes live in one theory: matched deterministic states of the
@@ -122,6 +118,3 @@ let group ?alphabet ?depth ?strategy () =
     header = "== Section 4.2: semiqueue / stuttering collapses ==\n";
     claims = claims ?alphabet ?depth ?strategy ();
   }
-
-let run ?alphabet ?depth ?strategy ppf () =
-  Relax_claims.Engine.run_print (group ?alphabet ?depth ?strategy ()) ppf

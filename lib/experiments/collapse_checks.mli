@@ -10,8 +10,6 @@ open Relax_core
     collapses additionally audit their certified simulations through the
     larch theories (fifoq, mbag). *)
 
-type check = Pq_checks.check = { name : string; ok : bool; detail : string }
-
 val claims :
   ?alphabet:Language.alphabet ->
   ?depth:int ->
@@ -25,11 +23,3 @@ val group :
   ?strategy:Relax_proof.Strategy.t ->
   unit ->
   Relax_claims.Registry.group
-
-val run :
-  ?alphabet:Language.alphabet ->
-  ?depth:int ->
-  ?strategy:Relax_proof.Strategy.t ->
-  Format.formatter ->
-  unit ->
-  bool

@@ -57,7 +57,6 @@ type step = {
 type session = {
   trace : Chaos.Trace.t;
   result : Chaos.Runner.result;
-  verdict : Chaos.Oracle.verdict;
   automaton : string;
   ops : Op.t array;  (* the history, indexable by prefix length *)
   steps : step array;
@@ -196,11 +195,11 @@ let session_of_trace (trace : Chaos.Trace.t) =
           Chaos_scenarios.run_trace trace)
     with
     | Error e -> Error e
-    | Ok (result, verdict) ->
+    | Ok result ->
       let ops = Array.of_list result.Chaos.Runner.history in
       let automaton, frontiers = precompute_frontiers sc ops in
       let steps = build_steps (Tracer.events tracer) ops in
-      Ok { trace; result; verdict; automaton; ops; steps; frontiers })
+      Ok { trace; result; automaton; ops; steps; frontiers })
 
 (* ------------------------------------------------------------------ *)
 (* Recordings                                                          *)
@@ -281,7 +280,7 @@ let show_info ppf session =
     (Array.length session.steps)
     r.Chaos.Runner.completed r.Chaos.Runner.unavailable
     r.Chaos.Runner.mode_switches r.Chaos.Runner.recoveries;
-  Fmt.pf ppf "verdict: %a@." Chaos.Oracle.pp session.verdict
+  Fmt.pf ppf "verdict: %a@." Chaos.Runner.pp_verdict r
 
 let show_listing ppf session at =
   let n = Array.length session.steps in

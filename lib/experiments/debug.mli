@@ -31,7 +31,6 @@ type step = {
 type session = {
   trace : Chaos.Trace.t;
   result : Chaos.Runner.result;
-  verdict : Chaos.Oracle.verdict;
   automaton : string;
   ops : Op.t array;  (** the judged history, indexable by prefix length *)
   steps : step array;

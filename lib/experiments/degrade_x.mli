@@ -6,17 +6,14 @@ module Chaos = Relax_chaos
 
     Each seeded comparison runs the same workload and nemesis schedule
     with the controller, with static top and with static bottom, and
-    reports the availability uplift, the conformance verdicts (post-hoc
-    and online), the mode-switch timeline and the transition-latency
-    distributions. *)
+    reports the availability uplift, the online conformance verdicts,
+    the mode-switch timeline and the transition-latency distributions. *)
 
 type comparison = {
   seed : int;
   controlled : Chaos.Runner.result;
   static_top : Chaos.Runner.result;
   static_bottom : Chaos.Runner.result;
-  verdict : Chaos.Oracle.verdict;
-  online_agrees : bool;
 }
 
 (** Completed fraction of the operations that wanted service. *)
@@ -31,7 +28,6 @@ val run_one :
 type sweep_report = {
   comparisons : comparison list;
   violations : int;  (** controlled histories outside the language *)
-  online_disagreements : int;
   switch_limit : int;  (** the hysteresis bound per run *)
   max_switches : int;
 }

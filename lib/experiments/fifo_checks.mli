@@ -7,8 +7,6 @@ open Relax_core
     claims under ["fifo/"].  With [strategy] the four lattice points
     route through the proof pipeline of [relax_proof]. *)
 
-type check = Pq_checks.check = { name : string; ok : bool; detail : string }
-
 val claims :
   ?alphabet:Language.alphabet ->
   ?depth:int ->
@@ -22,11 +20,3 @@ val group :
   ?strategy:Relax_proof.Strategy.t ->
   unit ->
   Relax_claims.Registry.group
-
-val run :
-  ?alphabet:Language.alphabet ->
-  ?depth:int ->
-  ?strategy:Relax_proof.Strategy.t ->
-  Format.formatter ->
-  unit ->
-  bool

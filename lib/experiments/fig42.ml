@@ -89,6 +89,3 @@ let group ?alphabet ?depth ?(n = 3) () =
         n;
     claims = claims ?alphabet ?depth ~n ();
   }
-
-let run ?alphabet ?depth ?n ppf () =
-  Relax_claims.Engine.run_print (group ?alphabet ?depth ?n ()) ppf

@@ -31,12 +31,3 @@ val group :
   ?n:int ->
   unit ->
   Relax_claims.Registry.group
-
-(** Print the table; [true] when the grouping matches the closed form. *)
-val run :
-  ?alphabet:Language.alphabet ->
-  ?depth:int ->
-  ?n:int ->
-  Format.formatter ->
-  unit ->
-  bool

@@ -48,9 +48,9 @@ let system ~config point =
               Chaos_scenarios.run_trace trace)
         with
         | Error e -> failwith e (* point validated by the caller *)
-        | Ok (_result, verdict) ->
+        | Ok result ->
           {
-            Ldfi.Search.conforms = Chaos.Oracle.conforms verdict;
+            Ldfi.Search.conforms = Option.is_none result.Chaos.Runner.violation;
             support = Ldfi.Support.of_events (Tracer.events tracer);
           });
   }

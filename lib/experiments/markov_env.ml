@@ -127,6 +127,3 @@ let group ?(crash = 0.3) ?(recover = 0.3) ?requests ?seed () =
         (stationary_up ~crash ~recover);
     claims = claims ~crash ~recover ?requests ?seed ();
   }
-
-let run ?crash ?recover ?requests ?seed ppf () =
-  Relax_claims.Engine.run_print (group ?crash ?recover ?requests ?seed ()) ppf

@@ -26,12 +26,3 @@ val group :
   ?seed:int ->
   unit ->
   Relax_claims.Registry.group
-
-val run :
-  ?crash:float ->
-  ?recover:float ->
-  ?requests:int ->
-  ?seed:int ->
-  Format.formatter ->
-  unit ->
-  bool

@@ -5,20 +5,13 @@ open Relax_quorum
 (* Experiment L3-3 / T4 / C3-O / C3-D (see DESIGN.md): mechanized checks
    of every claim the paper makes about the replicated priority queue
    lattice of Section 3.3 — expressed as addressable claims (ids under
-   "pq/") whose verdicts render exactly the lines the legacy
-   print-driven checker produced.
+   "pq/") with structured verdicts.
 
    This module also hosts the check-record type and the claim
    constructors the other language-level check modules (collapses,
    fifo, account) share. *)
 
-type check = { name : string; ok : bool; detail : string }
-
-let pp_check ppf c =
-  Fmt.pf ppf "[%s] %s%s"
-    (if c.ok then "ok" else "FAIL")
-    c.name
-    (if c.detail = "" then "" else " — " ^ c.detail)
+type check = { ok : bool; detail : string }
 
 (* The enqueue-envelope weight of the proof pipeline: a certified
    simulation proves a queue-family claim for every history with at most
@@ -32,40 +25,29 @@ let method_of_pipeline = function
   | Relax_proof.Pipeline.Bounded { depth } ->
     Relax_claims.Verdict.Bounded { depth }
 
-(* The method column of the human reporter; claims that never route
-   through the pipeline render exactly as before. *)
-let method_suffix = function
-  | None -> ""
-  | Some (Relax_claims.Verdict.Proved_simulation { enqs; _ }) ->
-    Fmt.str " [proved: sim, ≤%d enqs]" enqs
-  | Some (Relax_claims.Verdict.Bounded _) -> " [bounded: enum]"
-
-let verdict_of_check ?counterexample ?proof_method c =
-  Relax_claims.Verdict.of_bool c.ok ~detail:c.detail ?counterexample
-    ?proof_method
-    ~human:(Fmt.str "%a%s@\n" pp_check c (method_suffix proof_method))
-
-let check_claim ~id ~kind ~paper ~description mk =
-  Relax_claims.Claim.make ~id ~kind ~paper ~description (fun () ->
-      let c, counterexample = mk () in
-      verdict_of_check ?counterexample c)
-
-(* Like {!check_claim} for checks that report how they were proved. *)
+(* A claim whose thunk returns a check, the rendered separating history
+   (if any) and how it was proved (if it went through the pipeline). *)
 let proof_claim ~id ~kind ~paper ~description mk =
   Relax_claims.Claim.make ~id ~kind ~paper ~description (fun () ->
       let c, counterexample, proof_method = mk () in
-      verdict_of_check ?counterexample ?proof_method c)
+      Relax_claims.Verdict.of_bool c.ok ~detail:c.detail ?counterexample
+        ?proof_method)
 
-let bool_claim ~id ~kind ~paper name f =
-  check_claim ~id ~kind ~paper ~description:name (fun () ->
-      ({ name; ok = f (); detail = "" }, None))
+let check_claim ~id ~kind ~paper ~description mk =
+  proof_claim ~id ~kind ~paper ~description (fun () ->
+      let c, counterexample = mk () in
+      (c, counterexample, None))
+
+let bool_claim ~id ~kind ~paper description f =
+  check_claim ~id ~kind ~paper ~description (fun () ->
+      ({ ok = f (); detail = "" }, None))
 
 (* Bounded language equivalence as a (check, separating history, method)
    triple; the automata are built by the caller's thunk, inside the
    claim.  With a [strategy] the decision routes through the proof
    pipeline — simulation synthesis first, enumeration fallback — and
    without one it is exactly the legacy [Language.equivalent]. *)
-let equivalence ?strategy ?audit ?audit_rev name a b ~alphabet ~depth =
+let equivalence ?strategy ?audit ?audit_rev a b ~alphabet ~depth =
   let decided, proof_method =
     match strategy with
     | None -> (Language.equivalent a b ~alphabet ~depth, None)
@@ -79,7 +61,6 @@ let equivalence ?strategy ?audit ?audit_rev name a b ~alphabet ~depth =
   match decided with
   | Ok () ->
     ( {
-        name;
         ok = true;
         detail =
           Fmt.str "%d histories, depth %d"
@@ -89,15 +70,15 @@ let equivalence ?strategy ?audit ?audit_rev name a b ~alphabet ~depth =
       None,
       proof_method )
   | Error c ->
-    ( { name; ok = false; detail = Fmt.str "%a" Language.pp_counterexample c },
+    ( { ok = false; detail = Fmt.str "%a" Language.pp_counterexample c },
       Some (History.to_string c.Language.history),
       proof_method )
 
 let equivalence_claim ~id ?(kind = Relax_claims.Claim.Equivalence) ?strategy
-    ?audit ?audit_rev ~paper name mk_pair ~alphabet ~depth =
-  proof_claim ~id ~kind ~paper ~description:name (fun () ->
+    ?audit ?audit_rev ~paper description mk_pair ~alphabet ~depth =
+  proof_claim ~id ~kind ~paper ~description (fun () ->
       let a, b = mk_pair () in
-      equivalence ?strategy ?audit ?audit_rev name a b ~alphabet ~depth)
+      equivalence ?strategy ?audit ?audit_rev a b ~alphabet ~depth)
 
 let q1_q2 = Relation.union Instances.q1 Instances.q2
 
@@ -161,8 +142,6 @@ let claims ?(alphabet = Queue_ops.alphabet (Queue_ops.universe 2)) ?(depth = 5)
             ~alphabet ~depth
         in
         ( {
-            name =
-              "relaxation lattice is monotone (stronger => smaller language)";
             ok = monotone = [];
             detail =
               (match monotone with
@@ -202,6 +181,3 @@ let group ?alphabet ?depth ?strategy () =
     header = "== Section 3.3: replicated priority queue lattice ==\n";
     claims = claims ?alphabet ?depth ?strategy ();
   }
-
-let run ?alphabet ?depth ?strategy ppf () =
-  Relax_claims.Engine.run_print (group ?alphabet ?depth ?strategy ()) ppf

@@ -8,9 +8,8 @@ open Relax_core
     This module also hosts the check-record type and the claim
     constructors shared by the other language-level check modules. *)
 
-type check = { name : string; ok : bool; detail : string }
-
-val pp_check : check Fmt.t
+(** A decided check; the claim's description names it. *)
+type check = { ok : bool; detail : string }
 
 (** The enqueue-envelope weight of the proof pipeline on the queue
     alphabets: 1 per enqueue, 0 otherwise. *)
@@ -20,19 +19,6 @@ val queue_weight : Op.t -> int
     method. *)
 val method_of_pipeline :
   Relax_proof.Pipeline.method_ -> Relax_claims.Verdict.proof_method
-
-(** The method column of the human reporter ([" [proved: sim, ≤N enqs]"]
-    / [" [bounded: enum]"]); empty for claims outside the pipeline. *)
-val method_suffix : Relax_claims.Verdict.proof_method option -> string
-
-(** A verdict whose human rendering is the legacy [pp_check] line,
-    followed by the method column when the claim routed through the
-    proof pipeline. *)
-val verdict_of_check :
-  ?counterexample:string ->
-  ?proof_method:Relax_claims.Verdict.proof_method ->
-  check ->
-  Relax_claims.Verdict.t
 
 (** A claim decided by a thunk returning a check and an optional rendered
     separating history. *)
@@ -53,7 +39,7 @@ val proof_claim :
   (unit -> check * string option * Relax_claims.Verdict.proof_method option) ->
   Relax_claims.Claim.t
 
-(** A claim decided by a bare boolean thunk; the string names it. *)
+(** A claim decided by a bare boolean thunk; the string describes it. *)
 val bool_claim :
   id:string ->
   kind:Relax_claims.Claim.kind ->
@@ -100,12 +86,3 @@ val group :
   ?strategy:Relax_proof.Strategy.t ->
   unit ->
   Relax_claims.Registry.group
-
-(** Check and print every claim; [true] when all pass. *)
-val run :
-  ?alphabet:Language.alphabet ->
-  ?depth:int ->
-  ?strategy:Relax_proof.Strategy.t ->
-  Format.formatter ->
-  unit ->
-  bool

@@ -116,5 +116,3 @@ let group ?seeds () =
     header = "== Section 4.2: print spooler under three policies ==\n";
     claims = claims ?seeds ();
   }
-
-let run ?seeds ppf () = Relax_claims.Engine.run_print (group ?seeds ()) ppf

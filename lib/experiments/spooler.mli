@@ -31,7 +31,3 @@ val sweep : ?ks:int list -> ?seeds:int list -> unit -> outcome list
 
 val claims : ?seeds:int list -> unit -> Relax_claims.Claim.t list
 val group : ?seeds:int list -> unit -> Relax_claims.Registry.group
-
-(** Print the sweep; [true] when every schedule is atomic at its
-    predicted point and the anomaly signature matches the paper. *)
-val run : ?seeds:int list -> Format.formatter -> unit -> bool

@@ -102,17 +102,8 @@ let count_inversions (h : History.t) =
   in
   go Multiset.empty Multiset.empty 0 h
 
-(* The predicted behavior differs in state type per lattice point, so it
-   is exposed as an acceptance predicate. *)
-let predicted_accepts cset h =
-  if Cset.mem "Q1" cset && Cset.mem "Q2" cset then
-    Automaton.accepts Pqueue.automaton h
-  else if Cset.mem "Q1" cset then Automaton.accepts Mpq.automaton h
-  else if Cset.mem "Q2" cset then Automaton.accepts Opq.automaton h
-  else Automaton.accepts Degen.automaton h
-
-(* The same predicted behavior as a fresh incremental oracle (the state
-   type differs per point, so each branch is monomorphic). *)
+(* The predicted behavior as a fresh incremental oracle (the state type
+   differs per point, so each branch is monomorphic). *)
 let predicted_online cset =
   let module O = Relax_degrade.Online in
   if Cset.mem "Q1" cset && Cset.mem "Q2" cset then
@@ -240,7 +231,10 @@ let run_point ?(params = default_params) ?(timeout = 120.0) ?retries ?backoff
     duplicates = count_duplicates history;
     inversions = count_inversions history;
     mean_latency;
-    history_ok = predicted_accepts point.cset history;
+    history_ok =
+      (let o = predicted_online point.cset in
+       Relax_degrade.Online.feed o history;
+       Relax_degrade.Online.conforms o);
   }
 
 let run_all ?(params = default_params) ?timeout ?retries ?backoff () =
@@ -273,6 +267,3 @@ let group ?params ?timeout ?retries ?backoff () =
        injected) ==\n";
     claims = claims ?params ?timeout ?retries ?backoff ();
   }
-
-let run ?params ?timeout ?retries ?backoff ppf () =
-  Relax_claims.Engine.run_print (group ?params ?timeout ?retries ?backoff ()) ppf

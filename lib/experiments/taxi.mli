@@ -33,12 +33,8 @@ val count_duplicates : History.t -> int
 (** Deqs that passed over a strictly better pending request. *)
 val count_inversions : History.t -> int
 
-(** Acceptance by the behavior the lattice predicts for the constraint
-    set (PQ / MPQ / OPQ / DegenPQ). *)
-val predicted_accepts : Cset.t -> History.t -> bool
-
-(** The same predicted behavior as a fresh incremental conformance
-    oracle. *)
+(** The behavior the lattice predicts for the constraint set (PQ / MPQ /
+    OPQ / DegenPQ) as a fresh incremental conformance oracle. *)
 val predicted_online : Cset.t -> Relax_degrade.Online.t
 
 type params = {
@@ -88,13 +84,3 @@ val group :
   ?backoff:float ->
   unit ->
   Relax_claims.Registry.group
-
-(** Print the table; [true] when every history matches its prediction. *)
-val run :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  Format.formatter ->
-  unit ->
-  bool

@@ -41,6 +41,3 @@ let group ?trials ?max_n () =
     header = "== Section 3.3: P(Deq misses the top-n priorities) = 0.1^n ==\n";
     claims = claims ?trials ?max_n ();
   }
-
-let run ?trials ?max_n ppf () =
-  Relax_claims.Engine.run_print (group ?trials ?max_n ()) ppf

@@ -4,4 +4,3 @@
 
 val claims : ?trials:int -> ?max_n:int -> unit -> Relax_claims.Claim.t list
 val group : ?trials:int -> ?max_n:int -> unit -> Relax_claims.Registry.group
-val run : ?trials:int -> ?max_n:int -> Format.formatter -> unit -> bool

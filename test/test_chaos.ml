@@ -3,14 +3,13 @@ module Sexp = Chaos.Sexp
 module Fault = Chaos.Fault
 module Nemesis = Chaos.Nemesis
 module Trace = Chaos.Trace
-module Oracle = Chaos.Oracle
 module Shrink = Chaos.Shrink
 module Runner = Chaos.Runner
 module Scenarios = Relax_experiments.Chaos_scenarios
 
 (* Tests for the deterministic chaos engine: the s-expression codec, the
    fault vocabulary and its shadow, nemesis schedule generation, trace
-   record/replay determinism, the conformance oracle, the delta-
+   record/replay determinism, the online conformance oracle, the delta-
    debugging shrinker (on a genuinely planted violation — amnesia at
    the preferred point — and on an injected-oracle-bug fixture),
    lattice conformance across seeds as a property, and a hand-built
@@ -235,7 +234,9 @@ let make_trace ?(point = "top") ?(nemeses = Scenarios.default_nemeses) seed =
 let replay trace =
   match Scenarios.run_trace trace with
   | Error e -> Alcotest.fail e
-  | Ok (result, verdict) -> (result, verdict)
+  | Ok result -> result
+
+let conforms (result : Runner.result) = Option.is_none result.Runner.violation
 
 let trace_tests =
   [
@@ -248,7 +249,7 @@ let trace_tests =
     Alcotest.test_case "replay is byte-identical (same trace)" `Quick
       (fun () ->
         let trace = make_trace 5 in
-        let a, _ = replay trace and b, _ = replay trace in
+        let a = replay trace and b = replay trace in
         Alcotest.(check string) "digest" a.Runner.digest b.Runner.digest;
         Alcotest.(check int) "completed" a.Runner.completed b.Runner.completed;
         Alcotest.(check bool)
@@ -264,10 +265,10 @@ let trace_tests =
           (fun () ->
             Trace.save path trace;
             let trace' = Trace.load path in
-            let a, _ = replay trace and b, _ = replay trace' in
+            let a = replay trace and b = replay trace' in
             Alcotest.(check string) "digest" a.Runner.digest b.Runner.digest));
     Alcotest.test_case "replica metrics are recorded" `Quick (fun () ->
-        let result, _ = replay (make_trace 11) in
+        let result = replay (make_trace 11) in
         Alcotest.(check int)
           "attempts counter"
           result.Runner.attempts
@@ -290,19 +291,14 @@ let violating_trace () =
     List.filter_map
       (fun seed ->
         let trace = make_trace ~nemeses:[ "crash"; "amnesia" ] seed in
-        match replay trace with
-        | _, Oracle.Violation _ -> Some trace
-        | _, Oracle.Conforms -> None)
+        if conforms (replay trace) then None else Some trace)
       [ 10; 8; 9; 1; 6 ]
   in
   match candidates with
   | t :: _ -> t
   | [] -> Alcotest.fail "no amnesia violation found in the seed window"
 
-let violates trace events =
-  match replay { trace with Trace.events } with
-  | _, Oracle.Violation _ -> true
-  | _, Oracle.Conforms -> false
+let violates trace events = not (conforms (replay { trace with Trace.events }))
 
 let check_one_minimal ~violates events =
   Alcotest.(check bool) "still violates" true (violates events);
@@ -325,11 +321,13 @@ let shrink_tests =
             Queue_ops.enq_int 1;
           ]
         in
-        let accepts = Relax_core.Automaton.accepts Pqueue.automaton in
-        match Oracle.check ~accepts h with
-        | Oracle.Conforms -> Alcotest.fail "double service must be rejected"
-        | Oracle.Violation { rejected_prefix; _ } ->
-          Alcotest.(check int) "prefix length" 3 (List.length rejected_prefix));
+        let o = Relax_degrade.Online.of_automaton Pqueue.automaton in
+        Relax_degrade.Online.feed o h;
+        match Relax_degrade.Online.violation o with
+        | None -> Alcotest.fail "double service must be rejected"
+        | Some { prefix; index; _ } ->
+          Alcotest.(check int) "prefix length" 3 (List.length prefix);
+          Alcotest.(check int) "flagged at the second service" 2 index);
     Alcotest.test_case "ddmin on a synthetic predicate" `Quick (fun () ->
         (* the "violation" needs exactly events #2 and #5 *)
         let events =
@@ -426,10 +424,8 @@ let shrink_tests =
         (* the shrunken trace replays to the same violation after a
            serialization round-trip *)
         let reloaded = Trace.of_string (Trace.to_string shrunk) in
-        (match replay reloaded with
-        | _, Oracle.Violation _ -> ()
-        | _, Oracle.Conforms ->
-          Alcotest.fail "shrunken trace must still violate");
+        if conforms (replay reloaded) then
+          Alcotest.fail "shrunken trace must still violate";
         (* every surviving event is a stable-storage fault or a crash —
            the mechanism the amnesia experiment blames *)
         Alcotest.(check bool)
@@ -446,15 +442,13 @@ let shrink_tests =
            produce a 1-minimal trace whose replay reproduces the
            rejection under the same buggy oracle. *)
         let trace = make_trace ~point:"bottom" 3 in
-        let buggy_accepts =
-          Relax_core.Automaton.accepts Relax_objects.Pqueue.automaton
-        in
         let buggy_violates events =
-          match replay { trace with Trace.events } with
-          | result, _ -> (
-            match Oracle.check ~accepts:buggy_accepts result.Runner.history with
-            | Oracle.Violation _ -> true
-            | Oracle.Conforms -> false)
+          let o =
+            Relax_degrade.Online.of_automaton Relax_objects.Pqueue.automaton
+          in
+          Relax_degrade.Online.feed o
+            (replay { trace with Trace.events }).Runner.history;
+          not (Relax_degrade.Online.conforms o)
         in
         if not (buggy_violates trace.Trace.events) then
           Alcotest.fail "fixture should trip the too-strict oracle";
@@ -490,11 +484,9 @@ let run_split point =
       { Fault.at = 0.6 *. horizon; action = Fault.Heal };
     ]
   in
-  let result =
-    Runner.run ~config ~client:(sc.Scenarios.client ~sites:config.Runner.sites)
-      ~respond:Relax_replica.Choosers.pq_eta events
-  in
-  (result, Oracle.check ~accepts:sc.Scenarios.accepts result.Runner.history)
+  Runner.run ~config ~online:sc.Scenarios.online
+    ~client:(sc.Scenarios.client ~sites:config.Runner.sites)
+    ~respond:Relax_replica.Choosers.pq_eta events
 
 let conformance_tests =
   [
@@ -506,19 +498,14 @@ let conformance_tests =
          QCheck.(int_range 1 1000)
          (fun seed ->
            List.for_all
-             (fun point ->
-               match replay (make_trace ~point seed) with
-               | _, Oracle.Conforms -> true
-               | _, Oracle.Violation _ -> false)
+             (fun point -> conforms (replay (make_trace ~point seed)))
              Scenarios.names));
     Alcotest.test_case "conformance across >=5 fixed seeds" `Slow (fun () ->
         List.iter
           (fun seed ->
             List.iter
               (fun point ->
-                match replay (make_trace ~point seed) with
-                | _, Oracle.Conforms -> ()
-                | _, Oracle.Violation _ ->
+                if not (conforms (replay (make_trace ~point seed))) then
                   Alcotest.fail (Fmt.str "violation at %s, seed %d" point seed))
               Scenarios.names)
           [ 1; 2; 3; 4; 5; 42 ]);
@@ -543,18 +530,16 @@ let conformance_tests =
         let recoveries = ref 0 in
         List.iter
           (fun seed ->
-            let result, verdict = replay (make_trace ~point:"recover" seed) in
+            let result = replay (make_trace ~point:"recover" seed) in
             recoveries := !recoveries + result.Runner.recoveries;
-            match verdict with
-            | Oracle.Conforms -> ()
-            | Oracle.Violation _ ->
+            if not (conforms result) then
               Alcotest.fail
                 (Fmt.str "recover point violated at seed %d" seed))
           [ 1; 2; 3; 4; 5; 6; 7; 8 ];
         Alcotest.(check bool)
           "journals were replayed" true (!recoveries > 0));
     Alcotest.test_case "non-durable points never recover" `Quick (fun () ->
-        let result, _ = replay (make_trace ~point:"top" 42) in
+        let result = replay (make_trace ~point:"top" 42) in
         Alcotest.(check int)
           "no journals, no recoveries" 0 result.Runner.recoveries);
     Alcotest.test_case
@@ -569,15 +554,13 @@ let conformance_tests =
             "judged by the empty cset" "{}" sc.Scenarios.lattice);
         List.iter
           (fun seed ->
-            match replay (make_trace ~point:"lost" ~nemeses seed) with
-            | _, Oracle.Conforms -> ()
-            | _, Oracle.Violation _ ->
-              Alcotest.fail (Fmt.str "lost point violated at seed %d" seed))
+            if not (conforms (replay (make_trace ~point:"lost" ~nemeses seed)))
+            then Alcotest.fail (Fmt.str "lost point violated at seed %d" seed))
           [ 1; 2; 3; 4; 5 ]);
     Alcotest.test_case
       "partition: top refuses the minority side, bottom serves both" `Quick
       (fun () ->
-        let top, top_verdict = run_split "top" in
+        let top = run_split "top" in
         Alcotest.(check bool)
           "top refuses some ops during the split" true
           (top.Runner.unavailable > 0);
@@ -585,12 +568,12 @@ let conformance_tests =
           "top serves no request twice" 0
           (Relax_experiments.Taxi.count_duplicates top.Runner.history);
         Alcotest.(check bool)
-          "top conforms" true (Oracle.conforms top_verdict);
-        let bottom, bottom_verdict = run_split "bottom" in
+          "top conforms" true (conforms top);
+        let bottom = run_split "bottom" in
         Alcotest.(check int)
           "bottom refuses nothing" 0 bottom.Runner.unavailable;
         Alcotest.(check bool)
-          "bottom conforms" true (Oracle.conforms bottom_verdict));
+          "bottom conforms" true (conforms bottom));
   ]
 
 let () =

@@ -198,10 +198,9 @@ let render format results =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let fake_claim ?(ok = true) id =
+let fake_claim ?(ok = true) ?detail ?proof_method id =
   Claim.make ~id ~kind:Claim.Numeric ~paper:"-" ~description:id (fun () ->
-      Verdict.of_bool ok
-        ~human:(Fmt.str "[%s] %s@\n" (if ok then "ok" else "FAIL") id))
+      Verdict.of_bool ok ?detail ?proof_method)
 
 let fake_group ?(gid = "x") ?(header = "") claims =
   { Registry.gid; title = gid; header; claims }
@@ -309,7 +308,11 @@ let engine_tests =
         | _ -> Alcotest.fail "expected an Error status");
         Alcotest.(check bool)
           "human rendering flags the failure" true
-          (contains ~sub:"[FAIL]" o.Engine.verdict.Verdict.human))
+          (contains
+             ~sub:
+               "[FAIL] deliberately raising claim — raised \
+                Failure(\"kaboom\")\n"
+             (render Reporter.Human results)))
       ;
     Alcotest.test_case "stats are attached per claim" `Quick (fun () ->
         let pq_top = Registry.select registry ~pattern:"pq/top" in
@@ -378,7 +381,7 @@ let reporter_tests =
           Claim.make ~id:"x/hostile" ~kind:Claim.Numeric
             ~paper:"quotes \" and \\ and\ttabs"
             ~description:"newline\nand control \x01 char" (fun () ->
-              Verdict.of_bool true ~detail:"d\"e\\t" ~human:"")
+              Verdict.of_bool true ~detail:"d\"e\\t")
         in
         let results =
           Engine.run (Registry.create [ fake_group [ hostile ] ])
@@ -414,9 +417,7 @@ let reporter_tests =
       (fun () ->
         let pass = fake_claim "x/pass" in
         let fail_with_detail =
-          Claim.make ~id:"x/fail" ~kind:Claim.Numeric ~paper:"-"
-            ~description:"x/fail" (fun () ->
-              Verdict.of_bool false ~detail:"expected 1 got 2" ~human:"")
+          fake_claim ~ok:false ~detail:"expected 1 got 2" "x/fail"
         in
         let err =
           Claim.make ~id:"x/err" ~kind:Claim.Numeric ~paper:"-"
@@ -435,6 +436,49 @@ let reporter_tests =
            not ok 3 - x/err # error: Failure(\"boom\")\n\
            # Failure(\"boom\")\n"
           (render Reporter.Tap results));
+    Alcotest.test_case "human output is byte-exact across all statuses"
+      `Quick (fun () ->
+        let sim =
+          Verdict.Proved_simulation { enqs = 3; relation = 7; obligations = 40 }
+        and enum = Verdict.Bounded { depth = 5 } in
+        let table =
+          Claim.report ~id:"x/table" ~kind:Claim.Numeric ~paper:"-"
+            ~description:"x/table" ~detail:"not shown" (fun ppf ->
+              Fmt.pf ppf "row 1@\nrow 2@\n";
+              false)
+        in
+        let results =
+          Engine.run
+            (Registry.create
+               [
+                 fake_group ~header:"== x ==\n"
+                   [
+                     fake_claim "x/pass";
+                     fake_claim ~ok:false ~detail:"expected 1 got 2" "x/fail";
+                     Claim.make ~id:"x/err" ~kind:Claim.Numeric ~paper:"-"
+                       ~description:"x/err" (fun () -> failwith "boom");
+                     fake_claim ~detail:"9 histories, depth 5"
+                       ~proof_method:sim "x/sim";
+                     fake_claim ~proof_method:enum "x/enum";
+                     fake_claim ~ok:false ~detail:"witness: []"
+                       ~proof_method:enum "x/enum-fail";
+                     table;
+                   ];
+                 fake_group ~gid:"y" [ fake_claim "y/plain" ];
+               ])
+        in
+        Alcotest.(check string) "exact human bytes"
+          "== x ==\n\
+           [ok] x/pass\n\
+           [FAIL] x/fail — expected 1 got 2\n\
+           [FAIL] x/err — raised Failure(\"boom\")\n\
+           [ok] x/sim — 9 histories, depth 5 [proved: sim, ≤3 enqs]\n\
+           [ok] x/enum [bounded: enum]\n\
+           [FAIL] x/enum-fail — witness: [] [bounded: enum]\n\
+           row 1\n\
+           row 2\n\
+           [ok] y/plain\n"
+          (render Reporter.Human results));
     Alcotest.test_case "format names round-trip" `Quick (fun () ->
         List.iter
           (fun f ->

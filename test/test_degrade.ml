@@ -10,9 +10,9 @@ module Degrade_x = Relax_experiments.Degrade_x
 (* Tests for the live degradation controller (lib/degrade): the
    constraint monitors, the adaptive anti-entropy scheduler, the online
    conformance oracle, the hysteresis/breaker state machine, and the
-   end-to-end properties of X-degrade (online verdict agrees with the
-   post-hoc oracle, deterministic parallel sweeps, availability uplift,
-   bounded mode switching). *)
+   end-to-end properties of X-degrade (controlled histories conform,
+   deterministic parallel sweeps, availability uplift, bounded mode
+   switching). *)
 
 let pq_assignment ~n =
   let maj = (n / 2) + 1 in
@@ -271,8 +271,10 @@ let online_tests =
             (QCheck.int_range 1 3))
          (fun picks ->
            (* an arbitrary mix of enqueues and dequeues over a tiny value
-              space: some conform, some do not — the two oracles must
-              agree either way *)
+              space: some conform, some do not — at the adaptive point and
+              at each fixed lattice point, the online verdict must be the
+              automaton's, and a violation's prefix the shortest rejected
+              one *)
            let h =
              List.mapi
                (fun i v ->
@@ -280,9 +282,29 @@ let online_tests =
                  else Queue_ops.deq_int v)
                picks
            in
-           let o = D.Online.of_automaton Adaptive.combined in
-           D.Online.feed o h;
-           D.Online.conforms o = Automaton.accepts Adaptive.combined h));
+           let agrees o accepts =
+             D.Online.feed o h;
+             match D.Online.violation o with
+             | None -> accepts h
+             | Some v ->
+               (not (accepts h))
+               && List.find_opt
+                    (fun p -> not (accepts p))
+                    (History.prefixes h)
+                  = Some v.D.Online.prefix
+           in
+           let fixed cset a =
+             agrees
+               (Relax_experiments.Taxi.predicted_online (Cset.of_list cset))
+               (Automaton.accepts a)
+           in
+           agrees
+             (D.Online.of_automaton Adaptive.combined)
+             (Automaton.accepts Adaptive.combined)
+           && fixed [ "Q1"; "Q2" ] Pqueue.automaton
+           && fixed [ "Q1" ] Mpq.automaton
+           && fixed [ "Q2" ] Opq.automaton
+           && fixed [] Degen.automaton));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -412,24 +434,16 @@ let sweep_exn ?jobs ?config ~runs ~seed ~nemeses () =
 let degrade_x_tests =
   [
     Alcotest.test_case
-      "online verdict agrees with the post-hoc oracle across seeds" `Slow
-      (fun () ->
-        (* the acceptance property: controller histories replay through
-           the combined automaton, and the incremental verdict matches
-           the post-hoc one, over >= 5 seeds of full-nemesis chaos *)
+      "controlled histories conform and switching is bounded across seeds"
+      `Slow (fun () ->
+        (* the acceptance property: controller histories are accepted by
+           the online oracle over the combined automaton, over >= 5 seeds
+           of full-nemesis chaos *)
         let report =
           sweep_exn ~jobs:1 ~config:small_config ~runs:5 ~seed:1
             ~nemeses:Relax_experiments.Chaos_scenarios.default_nemeses ()
         in
         Alcotest.(check int) "no conformance violations" 0 report.Degrade_x.violations;
-        Alcotest.(check int)
-          "no online disagreements" 0 report.Degrade_x.online_disagreements;
-        List.iter
-          (fun c ->
-            Alcotest.(check bool)
-              (Fmt.str "seed %d online agrees" c.Degrade_x.seed)
-              true c.Degrade_x.online_agrees)
-          report.Degrade_x.comparisons;
         (* the hysteresis promise: switching is bounded per run *)
         Alcotest.(check bool)
           (Fmt.str "switches %d within bound %d" report.Degrade_x.max_switches

@@ -11,25 +11,30 @@ let null = Fmt.with_buffer (Buffer.create 512)
 let check name f = Alcotest.test_case name `Slow (fun () ->
     Alcotest.(check bool) "experiment passes" true (f ()))
 
+(* Run one claim group through the engine, as `rlx check <group>` does. *)
+let passes group =
+  Relax_claims.(Engine.ok (Engine.run ~jobs:1 (Registry.create [ group ])))
+
 let experiment_tests =
   [
     check "Section 3.3 lattice checks (incl. Theorem 4 and DPQ)" (fun () ->
-        Pq_checks.run ~alphabet ~depth:4 null ());
+        passes (Pq_checks.group ~alphabet ~depth:4 ()));
     check "Section 4.2 collapses" (fun () ->
-        Collapse_checks.run ~alphabet ~depth:4 null ());
+        passes (Collapse_checks.group ~alphabet ~depth:4 ()));
     check "Section 3.4 account lattice (language level)" (fun () ->
-        Account_checks.run ~depth:3 null ());
+        passes (Account_checks.group ~depth:3 ()));
     check "Section 3.1 replicated FIFO queue characterization" (fun () ->
-        Fifo_checks.run ~alphabet ~depth:4 null ());
+        passes (Fifo_checks.group ~alphabet ~depth:4 ()));
     check "Markov environment composes with the functional model" (fun () ->
-        Markov_env.run ~requests:120 null ());
+        passes (Markov_env.group ~requests:120 ()));
     (* depth 4 is the least depth distinguishing Semiqueue_2 from
        Semiqueue_3 (three enqueues plus a dequeue of the third item) *)
-    check "Figure 4-2 table" (fun () -> Fig42.run ~alphabet ~depth:4 null ());
+    check "Figure 4-2 table" (fun () ->
+        passes (Fig42.group ~alphabet ~depth:4 ()));
     check "0.1^n probabilistic claim (P3-3)" (fun () ->
-        Topn_check.run ~trials:40_000 ~max_n:3 null ());
+        passes (Topn_check.group ~trials:40_000 ~max_n:3 ()));
     check "availability table and cross-check (X-av)" (fun () ->
-        Availability.run null ());
+        passes (Availability.group ()));
     check "taxi dispatch degradation (X-deg)" (fun () ->
         let params = { Taxi.default_params with requests = 15; seed = 7 } in
         let outcomes = Taxi.run_all ~params () in

@@ -7,7 +7,6 @@ module Scenarios = Relax_experiments.Chaos_scenarios
 module Chaos = Relax_chaos
 module Fault = Chaos.Fault
 module Trace = Chaos.Trace
-module Oracle = Chaos.Oracle
 
 (* Tests for lineage-driven fault injection: the hitting-set solver
    (minimality, ordering, budget pruning, the enumeration valve),
@@ -267,9 +266,10 @@ let support_tests =
           in
           match Scenarios.run_trace trace with
           | Error e -> Alcotest.fail e
-          | Ok (_, verdict) ->
+          | Ok result ->
             Alcotest.(check bool)
-              "conforms untraced" true (Oracle.conforms verdict)));
+              "conforms untraced" true
+              (Option.is_none result.Chaos.Runner.violation)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -452,7 +452,7 @@ let hunt_config = { X.hunt_config with Chaos.Runner.requests = 4 }
 let violates_trace trace =
   match Scenarios.run_trace trace with
   | Error e -> Alcotest.fail e
-  | Ok (_, verdict) -> not (Oracle.conforms verdict)
+  | Ok result -> Option.is_some result.Chaos.Runner.violation
 
 let hunt_tests =
   [
